@@ -89,10 +89,18 @@ echo "==> htd scoring-modes smoke (held-out FN rate)"
 diff "$HTD_SMOKE_DIR/learned.csv" tests/fixtures/learned_smoke.csv
 # Reference-free mode: characterize without a golden reference and score
 # through the same offline path the serve tests pin byte-for-byte.
+# The characterization, its report and its degraded report under the
+# committed fault plan are diffed against committed fixtures.
 "$HTD" characterize --out "$HTD_SMOKE_DIR/reffree.htd" --mode reference-free \
     --dies 4 --pairs 2 --reps 2 --seed 42 --channels em,delay
+diff "$HTD_SMOKE_DIR/reffree.htd" tests/fixtures/reffree_characterized.htd
 "$HTD" score --golden "$HTD_SMOKE_DIR/reffree.htd" --trojans ht2 \
     --report "$HTD_SMOKE_DIR/reffree-report.htd"
+"$HTD" diff "$HTD_SMOKE_DIR/reffree-report.htd" tests/fixtures/reffree_report.htd
+"$HTD" score --golden "$HTD_SMOKE_DIR/reffree.htd" --trojans ht2 \
+    --faults tests/fixtures/faultplan.htd --max-retries 2 --allow-degraded \
+    --report "$HTD_SMOKE_DIR/reffree-degraded.htd"
+"$HTD" diff "$HTD_SMOKE_DIR/reffree-degraded.htd" tests/fixtures/reffree_degraded_report.htd
 "$HTD" report "$HTD_SMOKE_DIR/reffree-report.htd" --csv >/dev/null
 
 echo "==> htd serve smoke (BENCH_serve.json)"

@@ -325,3 +325,68 @@ fn bad_invocations_fail_with_usage_errors() {
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("characterize"));
 }
+
+/// The reference-free pipeline, pinned end to end: the characterization,
+/// its report and its degraded report under the committed fault plan must
+/// reproduce the committed fixtures byte for byte.
+#[test]
+fn reference_free_pipeline_reproduces_the_pinned_fixtures() {
+    let dir = labdir("reffree-pinned");
+    std::fs::copy(fixture("faultplan.htd"), dir.join("faultplan.htd")).unwrap();
+    expect_success(&htd(
+        &dir,
+        &[
+            "characterize",
+            "--out",
+            "reffree.htd",
+            "--mode",
+            "reference-free",
+            "--dies",
+            "4",
+            "--pairs",
+            "2",
+            "--reps",
+            "2",
+            "--seed",
+            "42",
+            "--channels",
+            "em,delay",
+        ],
+    ));
+    let score = |extra: &[&str], report: &str| {
+        let mut args = vec![
+            "score",
+            "--golden",
+            "reffree.htd",
+            "--trojans",
+            "ht2",
+            "--report",
+            report,
+        ];
+        args.extend_from_slice(extra);
+        expect_success(&htd(&dir, &args));
+    };
+    score(&[], "report.htd");
+    score(
+        &[
+            "--faults",
+            "faultplan.htd",
+            "--max-retries",
+            "2",
+            "--allow-degraded",
+        ],
+        "degraded.htd",
+    );
+    for (made, pinned) in [
+        ("reffree.htd", "reffree_characterized.htd"),
+        ("report.htd", "reffree_report.htd"),
+        ("degraded.htd", "reffree_degraded_report.htd"),
+    ] {
+        assert_eq!(
+            std::fs::read_to_string(dir.join(made)).unwrap(),
+            std::fs::read_to_string(fixture(pinned)).unwrap(),
+            "{made} drifted from {pinned}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
