@@ -7,7 +7,7 @@
 use htd_bench::{banner, lab};
 use htd_core::delay_detect::{characterize_golden, DelayCampaign, DelayDetector};
 use htd_core::report::{ps, Table};
-use htd_core::{Design, ProgrammedDevice};
+use htd_core::{Design, Engine, ProgrammedDevice};
 use htd_trojan::TrojanSpec;
 
 fn main() {
@@ -21,7 +21,8 @@ fn main() {
     let gdev = ProgrammedDevice::new(&lab, &golden, &die);
     let campaign = DelayCampaign::random(20, 10, 0xAB1A);
     let detector = DelayDetector::new(
-        characterize_golden(&gdev, campaign).expect("golden characterisation succeeds"),
+        characterize_golden(&Engine::default(), &gdev, campaign)
+            .expect("golden characterisation succeeds"),
     );
 
     // The "critical bit" per pair = the bit with the earliest golden fault
@@ -50,7 +51,9 @@ fn main() {
     for spec in [TrojanSpec::ht_comb(), TrojanSpec::ht_seq()] {
         let infected = Design::infected(&lab, &spec).expect("insertion succeeds");
         let dut = ProgrammedDevice::new(&lab, &infected, &die);
-        let evidence = detector.examine(&dut, 42).expect("examination succeeds");
+        let evidence = detector
+            .examine(&Engine::default(), &dut, 42)
+            .expect("examination succeeds");
         // Restrict to the per-pair critical bit.
         let crit_diffs: Vec<f64> = evidence
             .diff_ps

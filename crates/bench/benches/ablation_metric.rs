@@ -4,8 +4,8 @@
 //! detection probability". This bench compares that metric against
 //! single-point and norm alternatives.
 
-use htd_bench::{banner, lab, KEY, PT};
-use htd_core::em_detect::{fn_rate_experiment_with_metric, SideChannel, TraceMetric};
+use htd_bench::{banner, lab, trace_experiment};
+use htd_core::em_detect::{SideChannel, TraceMetric};
 use htd_core::report::{pct, Table};
 use htd_trojan::TrojanSpec;
 
@@ -25,24 +25,21 @@ fn main() {
     println!("\nevaluating each metric over {n} dies (HT 1 and HT 2)...");
     let mut table = Table::new(&["metric", "HT 1: µ/σ", "HT 1: FN", "HT 2: µ/σ", "HT 2: FN"]);
     for (metric, label) in metrics {
-        let report = fn_rate_experiment_with_metric(
-            &htd_core::Engine::default(),
+        let rows = trace_experiment(
             &lab,
             &[TrojanSpec::ht1(), TrojanSpec::ht2()],
             SideChannel::Em,
             metric,
             n,
-            &PT,
-            &KEY,
             808,
-        )
-        .expect("experiment runs");
+        );
+        let (ht1, ht2) = (&rows[0].channels[0], &rows[1].channels[0]);
         table.push_row(&[
             label.to_string(),
-            format!("{:.2}", report.rows[0].mu / report.rows[0].sigma),
-            pct(report.rows[0].analytic_fn_rate),
-            format!("{:.2}", report.rows[1].mu / report.rows[1].sigma),
-            pct(report.rows[1].analytic_fn_rate),
+            format!("{:.2}", ht1.mu / ht1.sigma),
+            pct(ht1.analytic_fn_rate),
+            format!("{:.2}", ht2.mu / ht2.sigma),
+            pct(ht2.analytic_fn_rate),
         ]);
     }
     println!("{table}");

@@ -5,7 +5,7 @@
 use htd_bench::{banner, lab};
 use htd_core::delay_detect::{characterize_golden, DelayCampaign, DelayDetector};
 use htd_core::report::{ps, Table};
-use htd_core::{Design, ProgrammedDevice};
+use htd_core::{Design, Engine, ProgrammedDevice};
 use htd_trojan::TrojanSpec;
 
 fn main() {
@@ -23,7 +23,8 @@ fn main() {
 
     let campaign = DelayCampaign::paper(0x0A12);
     let detector = DelayDetector::new(
-        characterize_golden(&gdev, campaign).expect("golden characterisation succeeds"),
+        characterize_golden(&Engine::default(), &gdev, campaign)
+            .expect("golden characterisation succeeds"),
     );
 
     let mut table = Table::new(&[
@@ -36,10 +37,10 @@ fn main() {
     ]);
     for n in [1usize, 2, 5, 10, 20, 35, 50] {
         let e = detector
-            .examine_pairs(&dut, 9, n)
+            .examine_pairs(&Engine::default(), &dut, 9, n)
             .expect("n within campaign");
         let c = detector
-            .examine_pairs(&clean, 10, n)
+            .examine_pairs(&Engine::default(), &clean, 10, n)
             .expect("n within campaign");
         table.push_row(&[
             n.to_string(),

@@ -3,8 +3,8 @@
 //! acquisitions". This bench scans the probe and re-runs the detection
 //! with the probe parked at different positions.
 
-use htd_bench::{banner, lab, KEY, PT};
-use htd_core::em_detect::{fn_rate_experiment, SideChannel};
+use htd_bench::{banner, lab, trace_experiment, KEY, PT};
+use htd_core::em_detect::{SideChannel, TraceMetric};
 use htd_core::report::{pct, Table};
 use htd_core::{Design, ProgrammedDevice};
 use htd_em::scan::{hottest, scan, ScanGrid};
@@ -54,20 +54,19 @@ fn main() {
     let mut table = Table::new(&["probe position", "HT 1: µ/σ", "HT 1: FN (Eq.5)"]);
     for (label, pos) in positions {
         lab.em.probe.position = pos;
-        let report = fn_rate_experiment(
+        let rows = trace_experiment(
             &lab,
             &[TrojanSpec::ht1()],
             SideChannel::Em,
+            TraceMetric::SumOfLocalMaxima,
             n,
-            &PT,
-            &KEY,
             909,
-        )
-        .expect("experiment runs");
+        );
+        let ht1 = &rows[0].channels[0];
         table.push_row(&[
             format!("{label} ({:.0},{:.0})", pos.0, pos.1),
-            format!("{:.2}", report.rows[0].mu / report.rows[0].sigma),
-            pct(report.rows[0].analytic_fn_rate),
+            format!("{:.2}", ht1.mu / ht1.sigma),
+            pct(ht1.analytic_fn_rate),
         ]);
     }
     println!("{table}");

@@ -3,11 +3,11 @@
 //! should struggle; the delay method (which sees loading) should not.
 //! This showcases why the paper presents the two methods as complementary.
 
-use htd_bench::{banner, lab, KEY, PT};
+use htd_bench::{banner, lab, trace_experiment, KEY, PT};
 use htd_core::delay_detect::{characterize_golden, DelayCampaign, DelayDetector};
 use htd_core::em_detect::direct_compare;
 use htd_core::report::{ps, Table};
-use htd_core::{Design, ProgrammedDevice};
+use htd_core::{Design, Engine, ProgrammedDevice};
 use htd_trojan::TrojanSpec;
 
 fn main() {
@@ -23,7 +23,8 @@ fn main() {
     let specs = [TrojanSpec::ht_comb(), TrojanSpec::stealth()];
     let campaign = DelayCampaign::random(10, 10, 0x57EA);
     let detector = DelayDetector::new(
-        characterize_golden(&gdev, campaign).expect("golden characterisation succeeds"),
+        characterize_golden(&Engine::default(), &gdev, campaign)
+            .expect("golden characterisation succeeds"),
     );
 
     let mut table = Table::new(&[
@@ -38,7 +39,7 @@ fn main() {
         let tdev = ProgrammedDevice::new(&lab, &infected, &die);
         // Delay method.
         let evidence = detector
-            .examine(&tdev, 77 + i as u64)
+            .examine(&Engine::default(), &tdev, 77 + i as u64)
             .expect("examination succeeds");
         // EM method (same-die direct comparison).
         let g1 = gdev
@@ -68,10 +69,10 @@ fn main() {
     // Inter-die comparison (Section V conditions): PV timing warp masks
     // the stealth probe's timing-only signature much more than the active
     // trigger's added switching.
-    use htd_core::em_detect::{fn_rate_experiment, SideChannel};
+    use htd_core::em_detect::{SideChannel, TraceMetric};
     use htd_core::report::pct;
     let n = 48;
-    let report = fn_rate_experiment(
+    let rows = trace_experiment(
         &lab,
         &[
             TrojanSpec::ht_comb(),
@@ -79,19 +80,18 @@ fn main() {
             TrojanSpec::ht_seq(),
         ],
         SideChannel::Em,
+        TraceMetric::SumOfLocalMaxima,
         n,
-        &PT,
-        &KEY,
         1717,
-    )
-    .expect("experiment runs");
+    );
     let mut interdie = Table::new(&[
         "trojan",
         "switching?",
         "inter-die EM µ/σ",
         "inter-die EM FN (Eq.5)",
     ]);
-    for row in &report.rows {
+    for row in &rows {
+        let em = &row.channels[0];
         let switching = match row.name.as_str() {
             "HT-seq" => "yes (counter ticks)",
             "HT-comb" => "almost none (dormant AND tree)",
@@ -100,8 +100,8 @@ fn main() {
         interdie.push_row(&[
             row.name.clone(),
             switching.to_string(),
-            format!("{:.2}", row.mu / row.sigma),
-            pct(row.analytic_fn_rate),
+            format!("{:.2}", em.mu / em.sigma),
+            pct(em.analytic_fn_rate),
         ]);
     }
     println!("\n{interdie}");

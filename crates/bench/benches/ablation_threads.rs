@@ -7,7 +7,7 @@
 use std::time::Instant;
 
 use htd_bench::{banner, lab};
-use htd_core::delay_detect::{characterize_golden_with, measure_matrix_with, DelayCampaign};
+use htd_core::delay_detect::{characterize_golden, measure_matrix, DelayCampaign};
 use htd_core::report::Table;
 use htd_core::{Design, Engine, ProgrammedDevice};
 
@@ -25,7 +25,7 @@ fn main() {
     // below shares.
     println!("\ncharacterising the golden model (serial)...");
     let gdev = ProgrammedDevice::new(&lab, &golden, &die);
-    let model = characterize_golden_with(&Engine::serial(), &gdev, campaign.clone())
+    let model = characterize_golden(&Engine::serial(), &gdev, campaign.clone())
         .expect("golden characterisation succeeds");
 
     let auto = Engine::auto().workers();
@@ -42,9 +42,8 @@ fn main() {
         // same simulation work.
         let dev = ProgrammedDevice::new(&lab, &golden, &die);
         let t0 = Instant::now();
-        let matrix =
-            measure_matrix_with(&Engine::with_workers(w), &dev, &campaign, &model.params, 1)
-                .expect("matrix measurement succeeds");
+        let matrix = measure_matrix(&Engine::with_workers(w), &dev, &campaign, &model.params, 1)
+            .expect("matrix measurement succeeds");
         let dt = t0.elapsed().as_secs_f64();
         let (identical, speedup) = match &reference {
             None => {

@@ -2,8 +2,8 @@
 //! temporal resolution than power measurements hence improving HT
 //! detection result". Same Section V experiment, both chains.
 
-use htd_bench::{banner, lab, KEY, PT};
-use htd_core::em_detect::{fn_rate_experiment, SideChannel};
+use htd_bench::{banner, lab, trace_experiment};
+use htd_core::em_detect::{SideChannel, TraceMetric};
 use htd_core::report::{pct, Table};
 use htd_trojan::TrojanSpec;
 
@@ -22,29 +22,20 @@ fn main() {
         "Power: FN (Eq.5)",
     ]);
     println!("\nrunning both chains over {n} dies...");
-    let em = fn_rate_experiment(
-        &lab,
-        &TrojanSpec::size_sweep(),
-        SideChannel::Em,
-        n,
-        &PT,
-        &KEY,
-        31,
-    )
-    .expect("EM experiment runs");
-    let pw = fn_rate_experiment(
-        &lab,
-        &TrojanSpec::size_sweep(),
-        SideChannel::Power,
-        n,
-        &PT,
-        &KEY,
-        31,
-    )
-    .expect("power experiment runs");
-    for (e, p) in em.rows.iter().zip(&pw.rows) {
+    let sweep = |chain| {
+        trace_experiment(
+            &lab,
+            &TrojanSpec::size_sweep(),
+            chain,
+            TraceMetric::SumOfLocalMaxima,
+            n,
+            31,
+        )
+    };
+    for (em, pw) in sweep(SideChannel::Em).iter().zip(sweep(SideChannel::Power)) {
+        let (e, p) = (&em.channels[0], &pw.channels[0]);
         table.push_row(&[
-            e.name.clone(),
+            em.name.clone(),
             format!("{:.2}", e.mu / e.sigma),
             pct(e.analytic_fn_rate),
             format!("{:.2}", p.mu / p.sigma),

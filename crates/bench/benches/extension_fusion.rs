@@ -2,10 +2,9 @@
 //! inter-die process variations "using both delay and EM measurements" —
 //! each channel alone, then fused.
 
-use htd_bench::{banner, lab, KEY, PT};
+use htd_bench::{banner, experiment, lab, KEY, PT};
 use htd_core::channel::{DelayChannel, EmChannel, PowerChannel};
 use htd_core::em_detect::TraceMetric;
-use htd_core::fusion::{fusion_experiment, multi_channel_experiment};
 use htd_core::report::{multi_channel_table, pct, Table};
 use htd_core::CampaignPlan;
 use htd_trojan::TrojanSpec;
@@ -18,16 +17,14 @@ fn main() {
     let lab = lab();
     let n_dies = 48;
     println!("\nmeasuring EM traces and delay matrices over {n_dies} dies...");
-    let report = fusion_experiment(
+    // 3 (P,K) pairs in the delay campaign.
+    let plan = CampaignPlan::with_random_pairs(n_dies, 3, 3, PT, KEY, 4242);
+    let report = experiment(
         &lab,
+        &plan,
         &TrojanSpec::size_sweep(),
-        n_dies,
-        3, // (P,K) pairs in the delay campaign
-        &PT,
-        &KEY,
-        4242,
-    )
-    .expect("experiment runs");
+        &[&EmChannel::paper(), &DelayChannel],
+    );
 
     let mut table = Table::new(&[
         "trojan",
@@ -39,15 +36,12 @@ fn main() {
         "fused FN",
     ]);
     for row in &report.rows {
-        table.push_row(&[
-            row.name.clone(),
-            format!("{:.2}", row.em.mu / row.em.sigma),
-            pct(row.em.analytic_fn_rate),
-            format!("{:.2}", row.delay.mu / row.delay.sigma),
-            pct(row.delay.analytic_fn_rate),
-            format!("{:.2}", row.fused.mu / row.fused.sigma),
-            pct(row.fused.analytic_fn_rate),
-        ]);
+        let mut cells = vec![row.name.clone()];
+        for result in row.channels.iter().chain(&row.fused) {
+            cells.push(format!("{:.2}", result.mu / result.sigma));
+            cells.push(pct(result.analytic_fn_rate));
+        }
+        table.push_row(&cells);
     }
     println!("{table}");
 
@@ -57,7 +51,7 @@ fn main() {
     let n3 = 24;
     println!("adding the power chain: EM + delay + power over {n3} dies...");
     let plan = CampaignPlan::with_random_pairs(n3, 3, 3, PT, KEY, 4242);
-    let report3 = multi_channel_experiment(
+    let report3 = experiment(
         &lab,
         &plan,
         &TrojanSpec::size_sweep(),
@@ -66,8 +60,7 @@ fn main() {
             &DelayChannel,
             &PowerChannel::new(TraceMetric::SumOfLocalMaxima),
         ],
-    )
-    .expect("three-channel experiment runs");
+    );
     println!("{}", multi_channel_table(&report3));
 
     println!("finding: both channels sense the same die personality (a fast die");

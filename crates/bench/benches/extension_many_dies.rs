@@ -2,8 +2,8 @@
 //! on n FPGAs, where n ≫ 8" — how the FN-rate estimate converges as the
 //! die population grows.
 
-use htd_bench::{banner, lab, KEY, PT};
-use htd_core::em_detect::{fn_rate_experiment, SideChannel};
+use htd_bench::{banner, lab, trace_experiment};
+use htd_core::em_detect::{SideChannel, TraceMetric};
 use htd_core::report::{pct, Table};
 use htd_trojan::TrojanSpec;
 
@@ -20,17 +20,15 @@ fn main() {
         "HT 2: FN empirical",
     ]);
     for n in [8usize, 16, 32, 64, 128, 256] {
-        let report = fn_rate_experiment(
+        let rows = trace_experiment(
             &lab,
             &[TrojanSpec::ht2()],
             SideChannel::Em,
+            TraceMetric::SumOfLocalMaxima,
             n,
-            &PT,
-            &KEY,
             1234,
-        )
-        .expect("experiment runs");
-        let r = &report.rows[0];
+        );
+        let r = &rows[0].channels[0];
         table.push_row(&[
             n.to_string(),
             format!("{:.2}", r.mu / r.sigma),

@@ -6,7 +6,7 @@
 //! ~1.4 ns, although neither sits on the critical path.
 
 use htd_bench::{banner, lab, sparkline};
-use htd_core::delay_detect::{characterize_golden_with, DelayCampaign, DelayDetector};
+use htd_core::delay_detect::{characterize_golden, DelayCampaign, DelayDetector};
 use htd_core::report::{ps, write_csv, Table};
 use htd_core::{Design, Engine, ProgrammedDevice};
 use htd_trojan::TrojanSpec;
@@ -31,8 +31,7 @@ fn main() {
         engine.workers()
     );
     let detector = DelayDetector::new(
-        characterize_golden_with(&engine, &gdev, campaign)
-            .expect("golden characterisation succeeds"),
+        characterize_golden(&engine, &gdev, campaign).expect("golden characterisation succeeds"),
     );
 
     let designs: Vec<(String, Design, u64)> = vec![
@@ -56,7 +55,7 @@ fn main() {
     for (name, design, salt) in &designs {
         let dev = ProgrammedDevice::new(&lab, design, &die);
         let evidence = detector
-            .examine_with(&engine, &dev, *salt)
+            .examine(&engine, &dev, *salt)
             .expect("examination succeeds");
         for pair in [13usize, 47] {
             let series = &evidence.diff_ps[pair];

@@ -6,9 +6,9 @@
 //! deviations exceed it at certain samples, so points of interest exist.
 
 use htd_bench::{banner, lab, KEY, PT};
-use htd_core::em_detect::{characterize_em_golden, SideChannel};
+use htd_core::em_detect::{characterize_em_golden, SideChannel, TraceMetric};
 use htd_core::report::Table;
-use htd_core::{Design, ProgrammedDevice};
+use htd_core::{Design, Engine, ProgrammedDevice};
 use htd_em::Trace;
 use htd_stats::peaks::sum_of_local_maxima;
 use htd_trojan::TrojanSpec;
@@ -22,8 +22,18 @@ fn main() {
     let golden = Design::golden(&lab).expect("golden design builds");
     let infected = Design::infected(&lab, &TrojanSpec::ht2()).expect("insertion succeeds");
     let dies = lab.fabricate_batch(8);
-    let model = characterize_em_golden(&lab, &golden, &dies, SideChannel::Em, &PT, &KEY, 6000)
-        .expect("golden characterisation succeeds");
+    let model = characterize_em_golden(
+        &Engine::default(),
+        &lab,
+        &golden,
+        &dies,
+        SideChannel::Em,
+        TraceMetric::SumOfLocalMaxima,
+        &PT,
+        &KEY,
+        6000,
+    )
+    .expect("golden characterisation succeeds");
 
     let mut table = Table::new(&[
         "die",

@@ -8,9 +8,9 @@
 //! it from ref. \[6\] (Bowman et al.) without testing it.
 
 use htd_bench::{banner, lab, sparkline, KEY, PT};
-use htd_core::em_detect::{characterize_em_golden, SideChannel};
+use htd_core::em_detect::{characterize_em_golden, SideChannel, TraceMetric};
 use htd_core::report::{pct, write_csv, Table};
-use htd_core::{Design, ProgrammedDevice};
+use htd_core::{Design, Engine, ProgrammedDevice};
 use htd_stats::detection::equal_error_rate;
 use htd_stats::ks::ks_test_normal;
 use htd_stats::peaks::sum_of_local_maxima;
@@ -29,8 +29,18 @@ fn main() {
     let golden = Design::golden(&lab).expect("golden design builds");
     let infected = Design::infected(&lab, &TrojanSpec::ht2()).expect("insertion succeeds");
     let dies = lab.fabricate_batch(n_dies);
-    let model = characterize_em_golden(&lab, &golden, &dies, SideChannel::Em, &PT, &KEY, 777)
-        .expect("golden characterisation succeeds");
+    let model = characterize_em_golden(
+        &Engine::default(),
+        &lab,
+        &golden,
+        &dies,
+        SideChannel::Em,
+        TraceMetric::SumOfLocalMaxima,
+        &PT,
+        &KEY,
+        777,
+    )
+    .expect("golden characterisation succeeds");
     let infected_metrics: Vec<f64> = dies
         .iter()
         .enumerate()

@@ -4,8 +4,8 @@
 //! Paper: HT 1 (0.5 %) → 26 %, HT 2 (1.0 %) → 17 %, HT 3 (1.7 %) → 5 %;
 //! i.e. detection probability > 95 % for trojans ≥ 1.7 % of the AES.
 
-use htd_bench::{banner, lab, KEY, PT};
-use htd_core::em_detect::{fn_rate_experiment, SideChannel};
+use htd_bench::{banner, lab, trace_experiment};
+use htd_core::em_detect::{SideChannel, TraceMetric};
 use htd_core::report::{pct, Table};
 use htd_trojan::TrojanSpec;
 
@@ -19,23 +19,25 @@ fn main() {
 
     // First with the paper's population: 8 physical dies.
     println!("\n--- 8 dies (the paper's batch) ---");
-    let report8 = fn_rate_experiment(
-        &lab,
-        &TrojanSpec::size_sweep(),
-        SideChannel::Em,
-        8,
-        &PT,
-        &KEY,
-        8,
-    )
-    .expect("experiment runs");
+    let sweep = |n_dies, seed| {
+        trace_experiment(
+            &lab,
+            &TrojanSpec::size_sweep(),
+            SideChannel::Em,
+            TraceMetric::SumOfLocalMaxima,
+            n_dies,
+            seed,
+        )
+    };
+    let report8 = sweep(8, 8);
     let mut t8 = Table::new(&["trojan", "size (AES)", "µ/σ", "FN (Eq.5)", "FN paper"]);
-    for (row, paper_fn) in report8.rows.iter().zip(paper) {
+    for (row, paper_fn) in report8.iter().zip(paper) {
+        let em = &row.channels[0];
         t8.push_row(&[
             row.name.clone(),
             pct(row.size_fraction),
-            format!("{:.2}", row.mu / row.sigma),
-            pct(row.analytic_fn_rate),
+            format!("{:.2}", em.mu / em.sigma),
+            pct(em.analytic_fn_rate),
             paper_fn.to_string(),
         ]);
     }
@@ -45,16 +47,7 @@ fn main() {
     // stable estimates.
     let n = 192;
     println!("--- {n} dies (Monte-Carlo, the paper's n >> 8 perspective) ---");
-    let report = fn_rate_experiment(
-        &lab,
-        &TrojanSpec::size_sweep(),
-        SideChannel::Em,
-        n,
-        &PT,
-        &KEY,
-        555,
-    )
-    .expect("experiment runs");
+    let report = sweep(n, 555);
     let mut table = Table::new(&[
         "trojan",
         "size (AES)",
@@ -65,15 +58,16 @@ fn main() {
         "detection",
         "FN paper",
     ]);
-    for (row, paper_fn) in report.rows.iter().zip(paper) {
+    for (row, paper_fn) in report.iter().zip(paper) {
+        let em = &row.channels[0];
         table.push_row(&[
             row.name.clone(),
             pct(row.size_fraction),
-            format!("{:.2}", row.mu / row.sigma),
-            pct(row.analytic_fn_rate),
-            pct(row.empirical_fn_rate),
-            pct(row.empirical_fp_rate),
-            pct(row.detection_probability()),
+            format!("{:.2}", em.mu / em.sigma),
+            pct(em.analytic_fn_rate),
+            pct(em.empirical_fn_rate),
+            pct(em.empirical_fp_rate),
+            pct(1.0 - em.analytic_fn_rate),
             paper_fn.to_string(),
         ]);
     }

@@ -5,7 +5,11 @@
 //! the paper reports, so the shape comparison is immediate. See
 //! EXPERIMENTS.md for the index.
 
-use htd_core::Lab;
+use htd_core::channel::{trace_channel, Channel};
+use htd_core::em_detect::{SideChannel, TraceMetric};
+use htd_core::fusion::{MultiChannelReport, MultiChannelRow};
+use htd_core::{CampaignPlan, Lab, Mode, Run};
+use htd_trojan::TrojanSpec;
 
 /// The fixed plaintext used by the EM experiments ("the plaintext is fixed
 /// but unknown", Section IV).
@@ -21,6 +25,44 @@ pub const KEY: [u8; 16] = [
 /// The common experimental bench.
 pub fn lab() -> Lab {
     Lab::paper()
+}
+
+/// Characterizes the golden lot of `plan`, then scores `specs` against it
+/// — the campaign's two verbs back to back on the default [`Run`].
+///
+/// # Panics
+///
+/// When the campaign fails: a harness has no way to recover.
+pub fn experiment(
+    lab: &Lab,
+    plan: &CampaignPlan,
+    specs: &[TrojanSpec],
+    channels: &[&dyn Channel],
+) -> MultiChannelReport {
+    let run = Run::default();
+    let charac = run
+        .characterize(lab, plan, channels, Mode::Golden)
+        .expect("golden characterization runs");
+    run.score(lab, &charac, specs, channels)
+        .expect("scoring runs")
+        .report
+}
+
+/// The Section V experiment on one measurement chain: `n_dies` dies, each
+/// measured once under the fixed stimulus ([`PT`], [`KEY`]), reduced by
+/// `metric`. One row per trojan; its single channel result carries µ, σ
+/// and the Eq. (5) and empirical rates.
+pub fn trace_experiment(
+    lab: &Lab,
+    specs: &[TrojanSpec],
+    chain: SideChannel,
+    metric: TraceMetric,
+    n_dies: usize,
+    seed: u64,
+) -> Vec<MultiChannelRow> {
+    let plan = CampaignPlan::traces(n_dies, PT, KEY, seed);
+    let channel = trace_channel(chain, metric);
+    experiment(lab, &plan, specs, &[&*channel]).rows
 }
 
 /// Prints a numeric series as aligned columns of `(index, value)` pairs,

@@ -14,22 +14,17 @@ use std::process::ExitCode;
 use htd_core::channel::{Channel, ChannelSpec};
 use htd_core::em_detect::TraceMetric;
 use htd_core::fusion::{
-    characterize_campaign_faulted, fuse_scored_channels, masked_feature_rows,
-    score_campaign_faulted, score_campaign_faulted_with_model, GoldenCharacterization,
-    MultiChannelReport, ScoredCampaign, ScoredChannel,
+    fuse_scored_channels, masked_feature_rows, MultiChannelReport, ScoredChannel,
 };
-use htd_core::reffree::{characterize_reffree_faulted, score_reffree_campaign};
 use htd_core::report::{health_table, multi_channel_table, pct, Table};
 use htd_core::resilience::{ChannelHealth, RetryPolicy};
-use htd_core::{CampaignPlan, Engine, Error, Lab};
+use htd_core::{CampaignPlan, Engine, Error, Lab, Mode, Run};
 use htd_faults::FaultPlan;
 use htd_obs::{HealthRecord, Json, Obs, RunManifest, ToolInfo};
 use htd_serve::{ManifestConfig, ServeConfig};
 use htd_stats::logistic::{train as train_logistic, TrainConfig};
 use htd_stats::Gaussian;
-use htd_store::{
-    sniff_kind, Artifact as _, ChannelFit, ClassifierModel, GoldenArtifact, ReferenceFreeArtifact,
-};
+use htd_store::{sniff_kind, Artifact as _, ChannelFit, ClassifierModel, ScorableArtifact};
 use htd_trojan::{Payload, PlacementStrategy, Trigger, TrojanSpec, ZooConfig, ZooTrigger};
 
 const USAGE: &str = "\
@@ -43,13 +38,14 @@ USAGE:
                    [--faults FILE] [--max-retries N] [--allow-degraded]
                    [--model FILE] [--metrics FILE] [--trace FILE]
       Measure a golden population and store it as a golden artifact.
-      --mode reference-free needs no golden netlist trust anchor: every
-      die is scored against its own symmetric path pairs and its
-      neighbouring dies (leave-one-out), and the artifact stores the
-      self-score baseline instead of a golden reference (kind `reffree`,
-      at least 3 dies). --mode learned writes the usual golden artifact
-      but checks an optional --model classifier against the channel set,
-      for pipelines that score with `htd score --model`.
+      --mode reference-free needs no golden reference: every die is
+      scored on its own within-die residual (what survives removing the
+      common mode of its symmetric path pairs), and the artifact stores
+      the lot's self-score baseline instead of a golden reference (kind
+      `reffree`, at least 3 dies). --mode learned writes the usual golden
+      artifact. In every mode an optional --model classifier is checked
+      against the channel set, for pipelines that score with
+      `htd score --model`.
 
   htd score --golden FILE [--trojans ht1,ht2,...] [--report FILE]
             [--model FILE] [--csv FILE] [--kv FILE] [--scores-dir DIR]
@@ -59,9 +55,9 @@ USAGE:
       Score suspect designs against a stored golden artifact. The
       artifact's kind picks the mode: a `golden` artifact scores against
       the stored reference, a `reffree` artifact scores each suspect die
-      against its neighbours and compares with the stored self-score
-      baseline. --model FILE replaces the analytic fused column with a
-      trained logistic classifier (see `htd train`).
+      on its own within-die residual and compares with the stored
+      self-score baseline. --model FILE replaces the analytic fused
+      column with a trained logistic classifier (see `htd train`).
       Trojans: ht1 ht2 ht3 ht-comb ht-seq stealth sweep (= ht1,ht2,ht3).
       --faults replays a stored fault plan; failed acquisitions retry up
       to --max-retries times with fresh derived seeds. With
@@ -353,6 +349,48 @@ fn fault_opts(
     Ok((faults, policy))
 }
 
+/// The campaign flags `characterize`, `train` and `zoo` share — `--dies`,
+/// `--pairs`, `--reps`, `--seed`, `--channels`, `--metric`, `--pt` and
+/// `--key` — as a plan and its channel specs. `defaults` gives the
+/// command's `(dies, pairs, reps)`; a flag the command does not accept
+/// reads as absent and takes its default.
+fn campaign_flags(
+    opts: &Opts,
+    (dies, pairs, reps): (&str, &str, &str),
+) -> Result<(CampaignPlan, Vec<ChannelSpec>), String> {
+    let dies: usize = parse_num("dies", opts.get("dies").unwrap_or(dies))?;
+    let pairs: usize = parse_num("pairs", opts.get("pairs").unwrap_or(pairs))?;
+    let reps: usize = parse_num("reps", opts.get("reps").unwrap_or(reps))?;
+    let seed: u64 = parse_num("seed", opts.get("seed").unwrap_or("24301"))?;
+    let metric = opts.get("metric").unwrap_or("solm");
+    let metric = TraceMetric::from_token(metric)
+        .ok_or_else(|| format!("--metric: unknown metric `{metric}` (solm, max, sum, l2)"))?;
+    let specs = channel_specs(opts.get("channels").unwrap_or("em,delay"), metric)?;
+    let pt = parse_hex16("pt", opts.get("pt").unwrap_or(&"42".repeat(16)))?;
+    let key = parse_hex16("key", opts.get("key").unwrap_or(&"0f".repeat(16)))?;
+    let plan = CampaignPlan::with_random_pairs(dies, pairs, reps, pt, key, seed);
+    Ok((plan, specs))
+}
+
+/// The characterization `train` and `zoo` score against: a stored
+/// artifact (`--golden FILE`), or a fresh golden campaign from the
+/// campaign flags (6 dies, 2 pairs, 2 repetitions by default).
+fn stored_or_fresh(
+    opts: &Opts,
+    run: &Run,
+    lab: &Lab,
+    obs: &Obs,
+) -> Result<ScorableArtifact, Box<dyn std::error::Error>> {
+    if let Some(path) = opts.get("golden") {
+        return Ok(htd_store::load_with(path, obs)?);
+    }
+    let (plan, specs) = campaign_flags(opts, ("6", "2", "2"))?;
+    let channels: Vec<Box<dyn Channel>> = specs.iter().map(ChannelSpec::build).collect();
+    let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
+    let charac = run.characterize(lab, &plan, &refs, Mode::Golden)?;
+    Ok(ScorableArtifact::new(specs, charac)?)
+}
+
 /// A filesystem-safe slug of a channel or trojan label.
 fn slug(label: &str) -> String {
     let mut s: String = label
@@ -518,99 +556,27 @@ fn characterize(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>>
         &["allow-degraded"],
     )?;
     let out = opts.require("out")?.to_string();
-    let mode = opts.get("mode").unwrap_or("golden");
-    if !matches!(mode, "golden" | "learned" | "reference-free" | "reffree") {
-        return Err(
-            format!("--mode: unknown mode `{mode}` (golden, reference-free, learned)").into(),
-        );
-    }
-    let dies: usize = parse_num("dies", opts.get("dies").unwrap_or("8"))?;
-    let pairs: usize = parse_num("pairs", opts.get("pairs").unwrap_or("10"))?;
-    let reps: usize = parse_num("reps", opts.get("reps").unwrap_or("3"))?;
-    let seed: u64 = parse_num("seed", opts.get("seed").unwrap_or("24301"))?;
-    let metric = opts.get("metric").unwrap_or("solm");
-    let metric = TraceMetric::from_token(metric)
-        .ok_or_else(|| format!("--metric: unknown metric `{metric}` (solm, max, sum, l2)"))?;
-    let specs = channel_specs(opts.get("channels").unwrap_or("em,delay"), metric)?;
-    let pt = parse_hex16("pt", opts.get("pt").unwrap_or(&"42".repeat(16)))?;
-    let key = parse_hex16("key", opts.get("key").unwrap_or(&"0f".repeat(16)))?;
+    // `--mode learned` ships the same golden artifact; the classifier is
+    // applied at scoring time.
+    let mode = match opts.get("mode").unwrap_or("golden") {
+        "golden" | "learned" => Mode::Golden,
+        "reference-free" | "reffree" => Mode::ReferenceFree,
+        other => {
+            return Err(
+                format!("--mode: unknown mode `{other}` (golden, reference-free, learned)").into(),
+            )
+        }
+    };
+    let (plan, specs) = campaign_flags(&opts, ("8", "10", "3"))?;
     let (obs, metrics_path, trace_path) = metrics_obs(&opts);
     let engine = engine_for(&opts)?.with_obs(obs.clone());
     let (faults, policy) = fault_opts(&opts, &obs)?;
 
     let lab = Lab::paper();
-    let plan = CampaignPlan::with_random_pairs(dies, pairs, reps, pt, key, seed);
     let channels: Vec<Box<dyn Channel>> = specs.iter().map(ChannelSpec::build).collect();
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-
-    if matches!(mode, "reference-free" | "reffree") {
-        let charac = characterize_reffree_faulted(&engine, &lab, &plan, &refs, &faults, &policy)?;
-        for lost in &charac.lost {
-            eprintln!(
-                "htd: channel {} lost during characterization ({} calibration attempt(s))",
-                lost.channel, lost.attempted
-            );
-        }
-        let mut next_state = 0;
-        let surviving: Vec<ChannelSpec> = specs
-            .into_iter()
-            .filter(|spec| {
-                let keep = charac
-                    .states
-                    .get(next_state)
-                    .is_some_and(|s| s.channel == spec.name());
-                if keep {
-                    next_state += 1;
-                }
-                keep
-            })
-            .collect();
-        let artifact = ReferenceFreeArtifact::new(surviving, charac)?;
-        if let Some(dir) = opts.get("fits-dir") {
-            std::fs::create_dir_all(dir).map_err(|e| Error::io(dir, e))?;
-            for state in &artifact.characterization().states {
-                let path =
-                    std::path::Path::new(dir).join(format!("{}.fit.htd", slug(&state.channel)));
-                htd_store::save_with(
-                    &path,
-                    &ChannelFit {
-                        channel: state.channel.clone(),
-                        fit: Gaussian::new(state.fit.mean, state.fit.std)?,
-                    },
-                    &obs,
-                )?;
-                println!("wrote {}", path.display());
-            }
-        }
-        htd_store::save_with(&out, &artifact, &obs)?;
-        let names: Vec<&str> = artifact
-            .characterization()
-            .states
-            .iter()
-            .map(|s| s.channel.as_str())
-            .collect();
-        println!(
-            "characterized {dies} dies reference-free over {} channel(s) [{}] → {out}",
-            names.len(),
-            names.join(", "),
-        );
-        if let Some(path) = metrics_path {
-            let charac = artifact.characterization();
-            let health: Vec<ChannelHealth> = charac
-                .states
-                .iter()
-                .map(|s| s.health.clone())
-                .chain(charac.lost.iter().cloned())
-                .collect();
-            write_manifest(&path, "characterize", &engine, &charac.plan, &obs, &health)?;
-        }
-        if let Some(path) = &trace_path {
-            write_trace(path, &obs)?;
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let charac = characterize_campaign_faulted(&engine, &lab, &plan, &refs, &faults, &policy)?;
+    let run = Run::new(engine).with_faults(faults, policy);
+    let charac = run.characterize(&lab, &plan, &refs, mode)?;
     for lost in &charac.lost {
         eprintln!(
             "htd: channel {} lost during characterization ({} calibration attempt(s))",
@@ -633,19 +599,14 @@ fn characterize(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>>
             keep
         })
         .collect();
-    let artifact = GoldenArtifact::new(surviving, charac)?;
+    let artifact = ScorableArtifact::new(surviving, charac)?;
+    let charac = artifact.characterization();
+    let names: Vec<&str> = charac.states.iter().map(|s| s.channel.as_str()).collect();
 
-    // `--mode learned` ships the same golden artifact; the classifier is
-    // applied at scoring time, so all there is to pin down here is that
-    // a named model actually matches this campaign's channel set.
+    // All there is to pin down about a classifier here is that it
+    // actually matches this campaign's channel set.
     if let Some(path) = opts.get("model") {
         let model: ClassifierModel = htd_store::load_with(path, &obs)?;
-        let names: Vec<&str> = artifact
-            .characterization()
-            .states
-            .iter()
-            .map(|s| s.channel.as_str())
-            .collect();
         if model
             .features
             .iter()
@@ -664,13 +625,13 @@ fn characterize(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>>
 
     if let Some(dir) = opts.get("fits-dir") {
         std::fs::create_dir_all(dir).map_err(|e| Error::io(dir, e))?;
-        for state in &artifact.characterization().states {
-            let fit =
-                Gaussian::fit(&state.scores).map_err(|source| Error::DegeneratePopulation {
-                    channel: state.channel.clone(),
-                    samples: state.scores.len(),
-                    source,
-                })?;
+        for state in &charac.states {
+            let scores = state.baseline.scores();
+            let fit = Gaussian::fit(scores).map_err(|source| Error::DegeneratePopulation {
+                channel: state.channel.clone(),
+                samples: scores.len(),
+                source,
+            })?;
             let path = std::path::Path::new(dir).join(format!("{}.fit.htd", slug(&state.channel)));
             htd_store::save_with(
                 &path,
@@ -685,26 +646,23 @@ fn characterize(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>>
     }
 
     htd_store::save_with(&out, &artifact, &obs)?;
-    let names: Vec<&str> = artifact
-        .characterization()
-        .states
-        .iter()
-        .map(|s| s.channel.as_str())
-        .collect();
+    let lot = match mode {
+        Mode::Golden => format!("{} golden dies", plan.n_dies),
+        Mode::ReferenceFree => format!("{} dies reference-free", plan.n_dies),
+    };
     println!(
-        "characterized {dies} golden dies over {} channel(s) [{}] → {out}",
+        "characterized {lot} over {} channel(s) [{}] → {out}",
         names.len(),
         names.join(", "),
     );
     if let Some(path) = metrics_path {
-        let charac = artifact.characterization();
         let health: Vec<ChannelHealth> = charac
             .states
             .iter()
             .map(|s| s.health.clone())
             .chain(charac.lost.iter().cloned())
             .collect();
-        write_manifest(&path, "characterize", &engine, &charac.plan, &obs, &health)?;
+        write_manifest(&path, "characterize", run.engine(), &plan, &obs, &health)?;
     }
     if let Some(path) = &trace_path {
         write_trace(path, &obs)?;
@@ -745,74 +703,30 @@ fn score(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     };
     let lab = Lab::paper();
 
-    // The artifact's kind picks the scoring mode. The sniff uses a plain
-    // (uncounted) read so the golden-path store.read counters stay
-    // byte-identical with earlier releases; the counted load below is
-    // the authoritative parse.
-    let sniffed = std::fs::read_to_string(golden_path).map_err(|e| Error::io(golden_path, e))?;
-    let (campaign, plan): (ScoredCampaign, CampaignPlan) =
-        if sniff_kind(&sniffed) == Some(ReferenceFreeArtifact::KIND) {
-            let artifact: ReferenceFreeArtifact = if policy.allow_degraded {
-                let salvaged =
-                    htd_store::load_salvage_with::<ReferenceFreeArtifact>(golden_path, &obs)?;
-                if salvaged.recovered {
-                    eprintln!(
-                        "htd: salvaged {golden_path} ({} damaged line(s) dropped)",
-                        salvaged.dropped_lines
-                    );
-                }
-                salvaged.artifact
-            } else {
-                htd_store::load_with(golden_path, &obs)?
-            };
-            let channels = artifact.build_channels();
-            let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-            let charac = artifact.characterization();
-            let plan = charac.plan.clone();
-            let campaign = score_reffree_campaign(
-                &engine,
-                &lab,
-                charac,
-                &specs,
-                &refs,
-                &faults,
-                &policy,
-                model.as_ref(),
-            )?;
-            (campaign, plan)
-        } else {
-            // Under --allow-degraded a damaged golden artifact is
-            // salvaged: the surviving channel blocks are kept and the
-            // read is flagged, instead of the whole file being rejected
-            // for one bad line.
-            let artifact: GoldenArtifact = if policy.allow_degraded {
-                let salvaged = htd_store::load_salvage_with::<GoldenArtifact>(golden_path, &obs)?;
-                if salvaged.recovered {
-                    eprintln!(
-                        "htd: salvaged {golden_path} ({} damaged line(s) dropped)",
-                        salvaged.dropped_lines
-                    );
-                }
-                salvaged.artifact
-            } else {
-                htd_store::load_with(golden_path, &obs)?
-            };
-            let channels = artifact.build_channels();
-            let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-            let charac = artifact.characterization();
-            let plan = charac.plan.clone();
-            let campaign = score_campaign_faulted_with_model(
-                &engine,
-                &lab,
-                charac,
-                &specs,
-                &refs,
-                &faults,
-                &policy,
-                model.as_ref(),
-            )?;
-            (campaign, plan)
-        };
+    // Under --allow-degraded a damaged artifact is salvaged: the
+    // surviving channel blocks are kept and the read is flagged, instead
+    // of the whole file being rejected for one bad line. The artifact's
+    // kind (`golden` or `reffree`) picks the scoring mode.
+    let artifact: ScorableArtifact = if policy.allow_degraded {
+        let salvaged = htd_store::load_salvage_with::<ScorableArtifact>(golden_path, &obs)?;
+        if salvaged.recovered {
+            eprintln!(
+                "htd: salvaged {golden_path} ({} damaged line(s) dropped)",
+                salvaged.dropped_lines
+            );
+        }
+        salvaged.artifact
+    } else {
+        htd_store::load_with(golden_path, &obs)?
+    };
+    let channels = artifact.build_channels();
+    let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
+    let charac = artifact.characterization();
+    let plan = &charac.plan;
+    let run = Run::new(engine)
+        .with_faults(faults, policy)
+        .with_model(model);
+    let campaign = run.score(&lab, charac, &specs, &refs)?;
     let report = &campaign.report;
 
     if let Some(dir) = opts.get("scores-dir") {
@@ -849,7 +763,7 @@ fn score(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         println!("wrote {path}");
     }
     if let Some(path) = &metrics_path {
-        write_manifest(path, "score", &engine, &plan, &obs, &report.health)?;
+        write_manifest(path, "score", run.engine(), plan, &obs, &report.health)?;
     }
     if let Some(path) = &trace_path {
         write_trace(path, &obs)?;
@@ -908,53 +822,17 @@ fn train(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     }
 
     let (obs, metrics_path, _) = metrics_obs(&opts);
-    let engine = engine_for(&opts)?.with_obs(obs.clone());
-    let lab = Lab::paper();
     // Training campaigns run fault-free and strict: every die survives,
     // so golden and infected feature rows line up one-to-one with dies.
-    let faults = FaultPlan::none();
-    let policy = RetryPolicy {
-        max_retries: 0,
-        allow_degraded: false,
-    };
+    let engine = engine_for(&opts)?.with_obs(obs.clone());
+    let lab = Lab::paper();
 
-    // Golden side: a stored artifact, or a fresh in-process campaign
-    // (same defaults as `htd zoo`).
-    let stored: Option<GoldenArtifact> = match opts.get("golden") {
-        Some(path) => Some(htd_store::load_with(path, &obs)?),
-        None => None,
-    };
-    let (channels, fresh): (Vec<Box<dyn Channel>>, Option<GoldenCharacterization>) = match &stored {
-        Some(artifact) => (artifact.build_channels(), None),
-        None => {
-            let dies: usize = parse_num("dies", opts.get("dies").unwrap_or("6"))?;
-            let pairs: usize = parse_num("pairs", opts.get("pairs").unwrap_or("2"))?;
-            let reps: usize = parse_num("reps", opts.get("reps").unwrap_or("2"))?;
-            let seed: u64 = parse_num("seed", opts.get("seed").unwrap_or("24301"))?;
-            let metric = opts.get("metric").unwrap_or("solm");
-            let metric = TraceMetric::from_token(metric).ok_or_else(|| {
-                format!("--metric: unknown metric `{metric}` (solm, max, sum, l2)")
-            })?;
-            let specs_ch = channel_specs(opts.get("channels").unwrap_or("em,delay"), metric)?;
-            let channels: Vec<Box<dyn Channel>> = specs_ch.iter().map(ChannelSpec::build).collect();
-            let pt = parse_hex16("pt", &"42".repeat(16))?;
-            let key = parse_hex16("key", &"0f".repeat(16))?;
-            let plan = CampaignPlan::with_random_pairs(dies, pairs, reps, pt, key, seed);
-            let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-            let charac =
-                characterize_campaign_faulted(&engine, &lab, &plan, &refs, &faults, &policy)?;
-            (channels, Some(charac))
-        }
-    };
-    let charac: &GoldenCharacterization = stored
-        .as_ref()
-        .map(GoldenArtifact::characterization)
-        .or(fresh.as_ref())
-        .expect("either a stored or a fresh characterization exists");
-
+    let run = Run::new(engine);
+    let artifact = stored_or_fresh(&opts, &run, &lab, &obs)?;
+    let channels = artifact.build_channels();
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-    let campaign =
-        score_campaign_faulted(&engine, &lab, charac, &train_specs, &refs, &faults, &policy)?;
+    let charac = artifact.characterization();
+    let campaign = run.score(&lab, charac, &train_specs, &refs)?;
 
     // Labelled samples: one feature row per die — golden dies label 0,
     // every die of every training trojan label 1. The trainer itself
@@ -962,10 +840,16 @@ fn train(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let n_dies = charac.plan.n_dies;
     let features: Vec<String> = charac.states.iter().map(|s| s.channel.clone()).collect();
     let mut samples: Vec<(Vec<f64>, bool)> = Vec::new();
+    let baselines: Vec<Vec<f64>> = charac
+        .states
+        .iter()
+        .map(|s| s.baseline.population())
+        .collect();
     let golden_masked: Vec<(&[usize], &[f64])> = charac
         .states
         .iter()
-        .map(|s| (s.kept.as_slice(), s.scores.as_slice()))
+        .zip(&baselines)
+        .map(|(s, baseline)| (s.kept.as_slice(), baseline.as_slice()))
         .collect();
     for row in masked_feature_rows(&golden_masked, n_dies) {
         samples.push((row, false));
@@ -1023,7 +907,7 @@ fn train(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         write_manifest(
             path,
             "train",
-            &engine,
+            run.engine(),
             &charac.plan,
             &obs,
             &campaign.report.health,
@@ -1107,46 +991,11 @@ fn zoo(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let specs = cfg.generate()?;
 
     let (obs, metrics_path, _) = metrics_obs(&opts);
-    let engine = engine_for(&opts)?.with_obs(obs.clone());
+    let run = Run::new(engine_for(&opts)?.with_obs(obs.clone()));
     let lab = Lab::paper();
-    let faults = FaultPlan::none();
-    let policy = RetryPolicy {
-        max_retries: 0,
-        allow_degraded: false,
-    };
-
-    // Golden side: a stored artifact, or a fresh in-process campaign.
-    let stored: Option<GoldenArtifact> = match opts.get("golden") {
-        Some(path) => Some(htd_store::load_with(path, &obs)?),
-        None => None,
-    };
-    let (channels, fresh): (Vec<Box<dyn Channel>>, Option<GoldenCharacterization>) = match &stored {
-        Some(artifact) => (artifact.build_channels(), None),
-        None => {
-            let dies: usize = parse_num("dies", opts.get("dies").unwrap_or("6"))?;
-            let pairs: usize = parse_num("pairs", opts.get("pairs").unwrap_or("2"))?;
-            let reps: usize = parse_num("reps", opts.get("reps").unwrap_or("2"))?;
-            let seed: u64 = parse_num("seed", opts.get("seed").unwrap_or("24301"))?;
-            let metric = opts.get("metric").unwrap_or("solm");
-            let metric = TraceMetric::from_token(metric).ok_or_else(|| {
-                format!("--metric: unknown metric `{metric}` (solm, max, sum, l2)")
-            })?;
-            let specs_ch = channel_specs(opts.get("channels").unwrap_or("em,delay"), metric)?;
-            let channels: Vec<Box<dyn Channel>> = specs_ch.iter().map(ChannelSpec::build).collect();
-            let pt = parse_hex16("pt", &"42".repeat(16))?;
-            let key = parse_hex16("key", &"0f".repeat(16))?;
-            let plan = CampaignPlan::with_random_pairs(dies, pairs, reps, pt, key, seed);
-            let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-            let charac =
-                characterize_campaign_faulted(&engine, &lab, &plan, &refs, &faults, &policy)?;
-            (channels, Some(charac))
-        }
-    };
-    let charac: &GoldenCharacterization = stored
-        .as_ref()
-        .map(GoldenArtifact::characterization)
-        .or(fresh.as_ref())
-        .expect("either a stored or a fresh characterization exists");
+    let artifact = stored_or_fresh(&opts, &run, &lab, &obs)?;
+    let channels = artifact.build_channels();
+    let charac = artifact.characterization();
 
     // Per-zoo-point counters, recorded once on the main thread so they
     // are worker-invariant by construction.
@@ -1156,7 +1005,7 @@ fn zoo(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     }
 
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-    let campaign = score_campaign_faulted(&engine, &lab, charac, &specs, &refs, &faults, &policy)?;
+    let campaign = run.score(&lab, charac, &specs, &refs)?;
     let report = &campaign.report;
 
     // Heat map: one row per zoo point, one detection-rate column per
@@ -1194,7 +1043,14 @@ fn zoo(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         println!("wrote {path}");
     }
     if let Some(path) = &metrics_path {
-        write_manifest(path, "zoo", &engine, &charac.plan, &obs, &report.health)?;
+        write_manifest(
+            path,
+            "zoo",
+            run.engine(),
+            &charac.plan,
+            &obs,
+            &report.health,
+        )?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1332,7 +1188,7 @@ fn bench(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let shard_of: Vec<(String, usize, String)> = goldens
         .iter()
         .map(|path| -> Result<_, Error> {
-            let artifact: GoldenArtifact = htd_store::load(path)?;
+            let artifact: ScorableArtifact = htd_store::load(path)?;
             let digest = htd_store::plan_digest(&artifact.characterization().plan);
             Ok((
                 path.clone(),
@@ -1911,14 +1767,14 @@ fn diff(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         .into());
     }
 
-    // Golden artifacts diff by identity of their campaign plan — the
-    // digest printed here is the serve wire/shard key, so two goldens
-    // with the same line land on the same scoring instance (the serve
-    // caches themselves key by artifact content, which the row diff
-    // below distinguishes).
-    if kind_a == Some("golden") {
-        let a: GoldenArtifact = htd_store::from_text_at(&text_a, path_a)?;
-        let b: GoldenArtifact = htd_store::from_text_at(&text_b, path_b)?;
+    // Characterization artifacts (golden or reference-free) diff by
+    // identity of their campaign plan — the digest printed here is the
+    // serve wire/shard key, so two goldens with the same line land on the
+    // same scoring instance (the serve caches themselves key by artifact
+    // content, which the row diff below distinguishes).
+    if kind_a.is_some_and(|kind| ScorableArtifact::KINDS.contains(&kind)) {
+        let a: ScorableArtifact = htd_store::from_text_at(&text_a, path_a)?;
+        let b: ScorableArtifact = htd_store::from_text_at(&text_b, path_b)?;
         println!(
             "plan {path_a}: {}",
             htd_store::plan_digest_hex(&a.characterization().plan)

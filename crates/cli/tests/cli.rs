@@ -9,8 +9,8 @@ use std::process::{Command, Output};
 
 use htd_core::channel::{Channel, ChannelSpec};
 use htd_core::em_detect::TraceMetric;
-use htd_core::fusion::{multi_channel_experiment_with, MultiChannelReport};
-use htd_core::{CampaignPlan, Engine, Lab};
+use htd_core::fusion::MultiChannelReport;
+use htd_core::{CampaignPlan, Engine, Lab, Mode, Run};
 use htd_trojan::TrojanSpec;
 
 fn htd(dir: &Path, args: &[&str]) -> Output {
@@ -105,8 +105,9 @@ fn pipeline_roundtrips_and_matches_the_in_memory_experiment() {
     let channels: Vec<Box<dyn Channel>> = specs.iter().map(ChannelSpec::build).collect();
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
     let trojans = [TrojanSpec::ht2(), TrojanSpec::ht_seq()];
-    let in_memory =
-        multi_channel_experiment_with(&Engine::serial(), &lab, &plan, &trojans, &refs).unwrap();
+    let run = Run::new(Engine::serial());
+    let charac = run.characterize(&lab, &plan, &refs, Mode::Golden).unwrap();
+    let in_memory = run.score(&lab, &charac, &trojans, &refs).unwrap().report;
     assert_eq!(report1, htd_store::to_text(&in_memory));
 
     // Fusing the stored per-channel scores reproduces the fused row.
@@ -386,6 +387,54 @@ fn reference_free_pipeline_reproduces_the_pinned_fixtures() {
             std::fs::read_to_string(dir.join(made)).unwrap(),
             std::fs::read_to_string(fixture(pinned)).unwrap(),
             "{made} drifted from {pinned}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--model` must match the characterized channel set in every mode: a
+/// classifier over `[EM, delay]` cannot ride along with a delay-only
+/// characterization, golden or reference-free.
+#[test]
+fn characterize_rejects_a_model_that_mismatches_the_channels_in_every_mode() {
+    let dir = labdir("model-mismatch");
+    let model = htd_store::ClassifierModel {
+        features: vec!["EM".to_string(), "delay".to_string()],
+        bias: 0.0,
+        weights: vec![1.0, 1.0],
+        means: vec![0.0, 0.0],
+        stds: vec![1.0, 1.0],
+        seed: 1,
+        iterations: 1,
+        rate: 0.5,
+    };
+    htd_store::save(dir.join("model.htd"), &model).unwrap();
+    for mode in ["golden", "reference-free"] {
+        let out = htd(
+            &dir,
+            &[
+                "characterize",
+                "--out",
+                "charac.htd",
+                "--mode",
+                mode,
+                "--dies",
+                "4",
+                "--pairs",
+                "2",
+                "--reps",
+                "2",
+                "--channels",
+                "delay",
+                "--model",
+                "model.htd",
+            ],
+        );
+        assert_eq!(out.status.code(), Some(2), "--mode {mode}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("do not match the channel set"),
+            "--mode {mode}: {stderr}"
         );
     }
     std::fs::remove_dir_all(&dir).ok();

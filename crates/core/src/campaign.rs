@@ -104,7 +104,7 @@ impl CampaignPlan {
     }
 
     /// The delay-channel view of this plan, in [`DelayCampaign`] form
-    /// (the shape [`measure_matrix_with`](crate::delay_detect::measure_matrix_with)
+    /// (the shape [`measure_matrix`](crate::delay_detect::measure_matrix)
     /// consumes).
     pub fn delay_campaign(&self) -> DelayCampaign {
         DelayCampaign {

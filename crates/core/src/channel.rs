@@ -14,13 +14,12 @@
 //! 4. **score** — reduce one acquisition against the reference to a
 //!    scalar decision metric.
 //!
-//! [`fusion::multi_channel_experiment`](crate::fusion::multi_channel_experiment)
-//! drives any `&[&dyn Channel]` through these stages with one shared
+//! [`Run`](crate::Run) drives any `&[&dyn Channel]` through these stages with one shared
 //! loop: per-channel seeding comes from the
 //! [`CampaignPlan`] seed tree (indices, never
 //! scheduling), so every campaign is bit-identical at every worker
 //! count; the fused decision is the channel-ordered sum of
-//! golden-normalised z-scores.
+//! baseline-normalised z-scores.
 //!
 //! Three channels ship today: [`EmChannel`] (Section V),
 //! [`DelayChannel`] (the inter-die generalisation of Section III) and
@@ -33,7 +32,7 @@ use htd_faults::{FaultPlan, RepHealth};
 use htd_timing::GlitchParams;
 
 use crate::campaign::CampaignPlan;
-use crate::delay_detect::{measure_matrix_faulted, measure_matrix_with, DelayMatrix};
+use crate::delay_detect::{measure_matrix, measure_matrix_faulted, DelayMatrix};
 use crate::em_detect::{SideChannel, TraceMetric};
 use crate::error::Error;
 use crate::{Engine, ProgrammedDevice};
@@ -400,7 +399,7 @@ impl Channel for DelayChannel {
     ) -> Result<Acquisition, Error> {
         let params = calibration.glitch(self.name())?;
         let campaign = plan.delay_campaign();
-        Ok(Acquisition::Matrix(measure_matrix_with(
+        Ok(Acquisition::Matrix(measure_matrix(
             engine, device, &campaign, params, seed,
         )?))
     }

@@ -14,8 +14,7 @@
 //!    decision threshold are evidence of an HT; more pairs sample more
 //!    bits and accumulate more evidence (Section III-B).
 //!
-//! Every measurement entry point has an [`Engine`]-taking `*_with`
-//! variant that fans the campaign (settle simulation per pair, then one
+//! Every measurement entry point takes an [`Engine`] that fans the campaign (settle simulation per pair, then one
 //! task per pair × repetition cell) across the engine's worker pool.
 //! Noise streams are derived from cell indices, never from scheduling
 //! order, so the results are bit-identical for every worker count.
@@ -115,23 +114,6 @@ fn rep_noise_seed(campaign_seed: u64, noise_salt: u64, pair_idx: usize, rep: usi
 /// `params`. `noise_salt` decorrelates the `dM` draws of independent
 /// characterisations (golden vs DUT runs — `r1` vs `r2` in Eqns. 2–3).
 ///
-/// Uses the default (auto-sized) [`Engine`]; results do not depend on the
-/// worker count.
-///
-/// # Errors
-///
-/// Propagates settle-time simulation failures.
-pub fn measure_matrix(
-    device: &ProgrammedDevice<'_>,
-    campaign: &DelayCampaign,
-    params: &GlitchParams,
-    noise_salt: u64,
-) -> Result<DelayMatrix, Error> {
-    measure_matrix_with(&Engine::default(), device, campaign, params, noise_salt)
-}
-
-/// [`measure_matrix`] on an explicit [`Engine`].
-///
 /// The campaign fans in two stages: settle-time simulation per pair
 /// (through the device's settle cache), then one task per
 /// pair × repetition cell. Repetitions are reduced to means in
@@ -142,7 +124,7 @@ pub fn measure_matrix(
 /// # Errors
 ///
 /// Propagates settle-time simulation failures.
-pub fn measure_matrix_with(
+pub fn measure_matrix(
     engine: &Engine,
     device: &ProgrammedDevice<'_>,
     campaign: &DelayCampaign,
@@ -164,7 +146,7 @@ pub fn measure_matrix_with(
     }
 }
 
-/// [`measure_matrix_with`] under a [`FaultPlan`]: each (pair, repetition)
+/// [`measure_matrix`] under a [`FaultPlan`]: each (pair, repetition)
 /// cell may be quarantined at [`FaultSite::Rep`], and the per-pair mean
 /// is taken over the surviving repetitions only (in repetition order, so
 /// the reduction stays scheduling-independent). Returns `Ok(None)` when
@@ -246,20 +228,6 @@ pub fn measure_matrix_faulted(
 /// measured settling times (the physical procedure — widen until nothing
 /// faults, then step down) and records the golden matrix.
 ///
-/// Uses the default (auto-sized) [`Engine`].
-///
-/// # Errors
-///
-/// Propagates settle-time simulation failures.
-pub fn characterize_golden(
-    device: &ProgrammedDevice<'_>,
-    campaign: DelayCampaign,
-) -> Result<GoldenDelayModel, Error> {
-    characterize_golden_with(&Engine::default(), device, campaign)
-}
-
-/// [`characterize_golden`] on an explicit [`Engine`].
-///
 /// The aiming pass runs through the device's settle cache, so the matrix
 /// measurement that follows re-uses every simulated settle instead of
 /// simulating the whole campaign a second time.
@@ -267,7 +235,7 @@ pub fn characterize_golden(
 /// # Errors
 ///
 /// Propagates settle-time simulation failures.
-pub fn characterize_golden_with(
+pub fn characterize_golden(
     engine: &Engine,
     device: &ProgrammedDevice<'_>,
     campaign: DelayCampaign,
@@ -288,7 +256,7 @@ pub fn characterize_golden_with(
     let tech_setup = device.annotation().setup_ps();
     let noise = device.annotation().measurement_noise_ps();
     let params = GlitchParams::paper_sweep(max_required + tech_setup, tech_setup, noise);
-    let matrix = measure_matrix_with(engine, device, &campaign, &params, 0)?;
+    let matrix = measure_matrix(engine, device, &campaign, &params, 0)?;
     Ok(GoldenDelayModel {
         params,
         matrix,
@@ -358,32 +326,18 @@ impl DelayDetector {
     }
 
     /// Measures `device` with the golden campaign/sweep and evaluates
-    /// Eq. (4) on every pair and bit. Uses the default (auto-sized)
-    /// [`Engine`].
+    /// Eq. (4) on every pair and bit.
     ///
     /// # Errors
     ///
     /// Propagates settle-time simulation failures.
     pub fn examine(
         &self,
-        device: &ProgrammedDevice<'_>,
-        noise_salt: u64,
-    ) -> Result<DelayEvidence, Error> {
-        self.examine_with(&Engine::default(), device, noise_salt)
-    }
-
-    /// [`DelayDetector::examine`] on an explicit [`Engine`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates settle-time simulation failures.
-    pub fn examine_with(
-        &self,
         engine: &Engine,
         device: &ProgrammedDevice<'_>,
         noise_salt: u64,
     ) -> Result<DelayEvidence, Error> {
-        self.examine_pairs_with(engine, device, noise_salt, self.golden.campaign.pairs.len())
+        self.examine_pairs(engine, device, noise_salt, self.golden.campaign.pairs.len())
     }
 
     /// Like [`DelayDetector::examine`] but using only the first
@@ -395,21 +349,6 @@ impl DelayDetector {
     /// campaign (the extra pairs would have no golden rows to compare
     /// against).
     pub fn examine_pairs(
-        &self,
-        device: &ProgrammedDevice<'_>,
-        noise_salt: u64,
-        n_pairs: usize,
-    ) -> Result<DelayEvidence, Error> {
-        self.examine_pairs_with(&Engine::default(), device, noise_salt, n_pairs)
-    }
-
-    /// [`DelayDetector::examine_pairs`] on an explicit [`Engine`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::PairCountExceedsCampaign`] if `n_pairs` exceeds the golden
-    /// campaign.
-    pub fn examine_pairs_with(
         &self,
         engine: &Engine,
         device: &ProgrammedDevice<'_>,
@@ -425,7 +364,7 @@ impl DelayDetector {
         }
         let mut campaign = self.golden.campaign.clone();
         campaign.pairs.truncate(n_pairs);
-        let dut = measure_matrix_with(engine, device, &campaign, &self.golden.params, noise_salt)?;
+        let dut = measure_matrix(engine, device, &campaign, &self.golden.params, noise_salt)?;
         let step = self.golden.params.step_ps;
         let mut max_diff = 0.0f64;
         let bits = self

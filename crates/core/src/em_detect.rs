@@ -15,12 +15,10 @@ use htd_em::Trace;
 use htd_fabric::DieVariation;
 use htd_stats::peaks::sum_of_local_maxima;
 use htd_stats::Gaussian;
-use htd_trojan::TrojanSpec;
 
 use crate::campaign::CampaignPlan;
 use crate::channel::{trace_channel, Calibration, GoldenReference};
 use crate::error::Error;
-use crate::fusion::multi_channel_experiment_with;
 use crate::{Design, Engine, Lab, ProgrammedDevice};
 
 /// Which measurement chain an experiment uses.
@@ -141,46 +139,19 @@ pub struct EmGoldenModel {
 
 /// Characterises the golden population over a batch of dies: one averaged
 /// acquisition per die with a fixed (but arbitrary) plaintext, as in
-/// Section V-A.
-///
-/// # Errors
-///
-/// [`Error::NotEnoughDies`] for fewer than two dies (the population
-/// spread is undefined); [`Error::DegeneratePopulation`] if the golden
-/// metrics have no spread; simulation failures otherwise.
-pub fn characterize_em_golden(
-    lab: &Lab,
-    golden: &Design,
-    dies: &[DieVariation],
-    chain: SideChannel,
-    pt: &[u8; 16],
-    key: &[u8; 16],
-    seed: u64,
-) -> Result<EmGoldenModel, Error> {
-    characterize_em_golden_with(
-        &Engine::default(),
-        lab,
-        golden,
-        dies,
-        chain,
-        TraceMetric::SumOfLocalMaxima,
-        pt,
-        key,
-        seed,
-    )
-}
-
-/// [`characterize_em_golden`] with an explicit [`TraceMetric`] and
-/// [`Engine`]. Runs the [`Channel`](crate::channel::Channel) stages of
+/// Section V-A, reduced by `metric` (the paper's is
+/// [`TraceMetric::SumOfLocalMaxima`]). Runs the [`Channel`](crate::channel::Channel) stages of
 /// the chain's trace channel: acquisitions fan across the engine's
 /// workers with index-derived seeds, so the model is bit-identical for
 /// every worker count.
 ///
 /// # Errors
 ///
-/// See [`characterize_em_golden`].
+/// [`Error::NotEnoughDies`] for fewer than two dies (the population
+/// spread is undefined); [`Error::DegeneratePopulation`] if the golden
+/// metrics have no spread; simulation failures otherwise.
 #[allow(clippy::too_many_arguments)]
-pub fn characterize_em_golden_with(
+pub fn characterize_em_golden(
     engine: &Engine,
     lab: &Lab,
     golden: &Design,
@@ -290,120 +261,6 @@ impl EmDetector {
     pub fn is_infected(&self, trace: &Trace) -> bool {
         self.metric(trace) > self.threshold
     }
-}
-
-/// One row of the paper's headline table: a trojan size vs its
-/// false-negative rate.
-#[derive(Debug, Clone)]
-pub struct FnRateRow {
-    /// Trojan name.
-    pub name: String,
-    /// Trojan area as a fraction of the AES design (the paper's
-    /// 0.5/1.0/1.7 %).
-    pub size_fraction: f64,
-    /// Metric offset µ = mean(infected) − mean(golden).
-    pub mu: f64,
-    /// Pooled metric standard deviation σ.
-    pub sigma: f64,
-    /// Eq. (5): analytic equal error rate from the fitted Gaussians.
-    pub analytic_fn_rate: f64,
-    /// Empirical false-negative rate at the midpoint threshold.
-    pub empirical_fn_rate: f64,
-    /// Empirical false-positive rate at the midpoint threshold.
-    pub empirical_fp_rate: f64,
-}
-
-impl FnRateRow {
-    /// Detection probability `1 − P_fn` (analytic).
-    pub fn detection_probability(&self) -> f64 {
-        1.0 - self.analytic_fn_rate
-    }
-}
-
-/// The full Section V experiment result.
-#[derive(Debug, Clone)]
-pub struct FnRateReport {
-    /// One row per trojan size, in the order supplied.
-    pub rows: Vec<FnRateRow>,
-    /// Number of dies in the population.
-    pub n_dies: usize,
-}
-
-/// Runs the Section V experiment: a batch of `n_dies` dies, the golden
-/// design and each infected design measured once per die, the
-/// sum-of-local-maxima metric computed against `E_n(G)`, and Gaussian
-/// FN/FP rates per Eq. (5).
-///
-/// The paper uses `n_dies = 8`; its "perspectives" section proposes
-/// n ≫ 8, which this function supports directly (see the
-/// `extension_many_dies` bench).
-#[allow(clippy::too_many_arguments)]
-pub fn fn_rate_experiment(
-    lab: &Lab,
-    specs: &[TrojanSpec],
-    chain: SideChannel,
-    n_dies: usize,
-    pt: &[u8; 16],
-    key: &[u8; 16],
-    seed: u64,
-) -> Result<FnRateReport, Error> {
-    fn_rate_experiment_with_metric(
-        &Engine::default(),
-        lab,
-        specs,
-        chain,
-        TraceMetric::SumOfLocalMaxima,
-        n_dies,
-        pt,
-        key,
-        seed,
-    )
-}
-
-/// [`fn_rate_experiment`] with an explicit [`TraceMetric`] (used by the
-/// metric ablation) and [`Engine`]. A thin wrapper over the generic
-/// multi-channel runner with a single trace channel: each die keeps its
-/// plan-derived seed, so the report is bit-identical for every worker
-/// count.
-///
-/// # Errors
-///
-/// Propagates design construction, simulation and fitting failures.
-#[allow(clippy::too_many_arguments)]
-pub fn fn_rate_experiment_with_metric(
-    engine: &Engine,
-    lab: &Lab,
-    specs: &[TrojanSpec],
-    chain: SideChannel,
-    metric: TraceMetric,
-    n_dies: usize,
-    pt: &[u8; 16],
-    key: &[u8; 16],
-    seed: u64,
-) -> Result<FnRateReport, Error> {
-    let plan = CampaignPlan::traces(n_dies, *pt, *key, seed);
-    let channel = trace_channel(chain, metric);
-    let report = multi_channel_experiment_with(engine, lab, &plan, specs, &[&*channel])?;
-    let mut rows = Vec::with_capacity(report.rows.len());
-    for row in report.rows {
-        let result = row
-            .channels
-            .into_iter()
-            .next()
-            .ok_or(Error::EmptyPopulation {
-                what: "per-channel results",
-            })?;
-        rows.push(FnRateRow {
-            name: row.name,
-            size_fraction: row.size_fraction,
-            mu: result.mu,
-            sigma: result.sigma,
-            analytic_fn_rate: result.analytic_fn_rate,
-            empirical_fn_rate: result.empirical_fn_rate,
-            empirical_fp_rate: result.empirical_fp_rate,
-        });
-    }
-    Ok(FnRateReport { rows, n_dies })
 }
 
 /// Result of a TVLA-style pointwise Welch t-test between two trace

@@ -1,23 +1,14 @@
-//! Multi-channel detection under inter-die process variations — the
-//! paper's stated perspective (Section VI): *"a more precise evaluation of
-//! impact of process variations on detection probability using **both**
-//! delay and EM measurements."*
+//! The data of a multi-channel campaign and the fusion math over it —
+//! the paper's stated perspective (Section VI): *"a more precise
+//! evaluation of impact of process variations on detection probability
+//! using **both** delay and EM measurements."*
 //!
-//! The campaign is split into the two halves of the paper's methodology,
-//! so a trusted characterization can be produced **once** and amortised
-//! over many scoring runs (the `htd-store` crate persists it between
-//! processes):
-//!
-//! * [`characterize_campaign`] — run the golden population through every
-//!   channel's calibrate → acquire → characterize_golden → score stages
-//!   and fold the results into a durable [`GoldenCharacterization`].
-//! * [`score_campaign`] — score any set of suspect designs against a
-//!   (possibly reloaded) characterization, producing the same
-//!   [`MultiChannelReport`] as the one-shot experiment.
-//!
-//! [`multi_channel_experiment`] composes the two; both halves derive every
-//! seed from the [`CampaignPlan`] seed tree, so reports are bit-identical
-//! for every worker count *and* across the save/load boundary.
+//! A [`Characterization`] is the durable half of a campaign: per channel,
+//! the calibration and a [`Baseline`] — a golden reference with per-die
+//! scores against it, or a reference-free self-score baseline. The
+//! `htd-store` crate persists it between processes; [`crate::Run`]
+//! produces it and scores suspects against it into a
+//! [`MultiChannelReport`].
 //!
 //! Channels:
 //!
@@ -28,27 +19,21 @@
 //!   (in ps) over all pairs and bits.
 //! * **Power channel** — the paper's A4 global-supply baseline, run
 //!   through the identical pipeline for a like-for-like comparison.
-//! * **Fused channel** — the sum of the channels' golden-normalised
+//! * **Fused channel** — the sum of the channels' baseline-normalised
 //!   z-scores; independent evidence adds, so the fused separation µ/σ is
 //!   at best the quadrature sum of the channels'.
 
-use htd_faults::{retry_seed, FaultPlan, FaultSite};
 use htd_stats::detection::{empirical_rates, equal_error_rate};
 use htd_stats::logistic::LogisticModel;
 use htd_stats::Gaussian;
-use htd_trojan::TrojanSpec;
 
 use crate::campaign::CampaignPlan;
-use crate::channel::{Acquisition, Calibration, Channel, DelayChannel, EmChannel, GoldenReference};
-use crate::engine::Attempt;
+use crate::channel::{Acquisition, Calibration, Channel, GoldenReference};
 use crate::error::Error;
-use crate::resilience::{ChannelHealth, RetryPolicy};
-use crate::{Design, Engine, Lab, ProgrammedDevice};
-use htd_fabric::DieVariation;
-
-/// Population tag of the golden characterization in fault-decision
-/// contexts; suspect design `s` uses `s + 1`.
-pub(crate) const POP_GOLDEN: u64 = 0;
+use crate::reffree::{self, ReferenceFreeFit};
+use crate::resilience::ChannelHealth;
+use crate::run::Mode;
+use crate::Engine;
 
 /// Per-channel population statistics for one trojan.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,7 +111,7 @@ pub struct MultiChannelRow {
     pub fused: Option<ChannelResult>,
 }
 
-/// The result of a [`multi_channel_experiment`] campaign.
+/// The result of a scored multi-channel campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiChannelReport {
     /// One row per trojan, in the order supplied.
@@ -137,49 +122,126 @@ pub struct MultiChannelReport {
     pub channel_names: Vec<String>,
     /// Per-channel health of the campaign: present (one entry per
     /// surviving channel, then one per lost channel) when the campaign
-    /// ran under an active [`FaultPlan`] or against a degraded
-    /// characterization; empty for a pristine campaign.
+    /// ran under an active [`FaultPlan`](htd_faults::FaultPlan) or
+    /// against a degraded characterization; empty for a pristine
+    /// campaign.
     pub health: Vec<ChannelHealth>,
 }
 
-/// Results of the historical two-channel experiment for one trojan.
-#[derive(Debug, Clone)]
-pub struct FusionRow {
-    /// Trojan name.
-    pub name: String,
-    /// EM-only channel.
-    pub em: ChannelResult,
-    /// Delay-only channel.
-    pub delay: ChannelResult,
-    /// Fused (z-score sum) channel.
-    pub fused: ChannelResult,
+/// One channel's baseline: what suspect scores are compared against.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Baseline {
+    /// The golden-population reference (`E_n(G)` / mean onset matrix)
+    /// and the per-die golden scores against it.
+    Golden {
+        /// The golden-population reference.
+        reference: GoldenReference,
+        /// Per-die golden scores against the reference (kept-die order).
+        scores: Vec<f64>,
+    },
+    /// The reference lot's within-die residual self-scores and their
+    /// Gaussian fit; no reference payload — every suspect die is its own
+    /// reference at scoring time.
+    ReferenceFree {
+        /// Baseline within-die residual self-scores, in kept-die order.
+        self_scores: Vec<f64>,
+        /// Gaussian fit of `self_scores`.
+        fit: ReferenceFreeFit,
+    },
 }
 
-/// The full two-channel report (a [`MultiChannelReport`] view kept for
-/// the paper's delay+EM experiment).
-#[derive(Debug, Clone)]
-pub struct FusionReport {
-    /// One row per trojan.
-    pub rows: Vec<FusionRow>,
-    /// Population size.
-    pub n_dies: usize,
+impl Baseline {
+    /// Folds a characterized population into `mode`'s baseline.
+    pub(crate) fn characterize(
+        mode: Mode,
+        channel: &dyn Channel,
+        acquisitions: &[Acquisition],
+        calibration: &Calibration,
+        engine: &Engine,
+    ) -> Result<Self, Error> {
+        match mode {
+            Mode::Golden => {
+                let reference = channel.characterize_golden(acquisitions, calibration)?;
+                let scores = acquisitions
+                    .iter()
+                    .map(|a| channel.score(a, &reference, calibration))
+                    .collect::<Result<Vec<f64>, _>>()?;
+                Ok(Baseline::Golden { reference, scores })
+            }
+            Mode::ReferenceFree => {
+                let self_scores = reffree::self_scores(channel, acquisitions, calibration)?;
+                engine
+                    .obs()
+                    .add("score.reffree.selfscores", self_scores.len() as u64);
+                let fit = ReferenceFreeFit::of(channel.name(), &self_scores)?;
+                Ok(Baseline::ReferenceFree { self_scores, fit })
+            }
+        }
+    }
+
+    /// The mode this baseline belongs to.
+    pub fn mode(&self) -> Mode {
+        match self {
+            Baseline::Golden { .. } => Mode::Golden,
+            Baseline::ReferenceFree { .. } => Mode::ReferenceFree,
+        }
+    }
+
+    /// The stored per-kept-die scores: golden scores against the
+    /// reference, or the reference lot's self-scores.
+    pub fn scores(&self) -> &[f64] {
+        match self {
+            Baseline::Golden { scores, .. } => scores,
+            Baseline::ReferenceFree { self_scores, .. } => self_scores,
+        }
+    }
+
+    /// The population suspect scores are compared against: the golden
+    /// scores, or the self-scores folded around the baseline mean.
+    pub fn population(&self) -> Vec<f64> {
+        match self {
+            Baseline::Golden { scores, .. } => scores.clone(),
+            Baseline::ReferenceFree { self_scores, fit } => reffree::folded(self_scores, fit.mean),
+        }
+    }
+
+    /// Scores a suspect population on the scale of [`Baseline::population`].
+    pub(crate) fn score(
+        &self,
+        channel: &dyn Channel,
+        acquisitions: &[Acquisition],
+        calibration: &Calibration,
+        engine: &Engine,
+    ) -> Result<Vec<f64>, Error> {
+        match self {
+            Baseline::Golden { reference, .. } => acquisitions
+                .iter()
+                .map(|a| channel.score(a, reference, calibration))
+                .collect(),
+            Baseline::ReferenceFree { fit, .. } => {
+                let scores = reffree::self_scores(channel, acquisitions, calibration)?;
+                engine
+                    .obs()
+                    .add("score.reffree.selfscores", scores.len() as u64);
+                Ok(reffree::folded(&scores, fit.mean))
+            }
+        }
+    }
 }
 
-/// One channel's durable golden-population state: everything scoring
-/// needs once the golden devices have left the bench. Produced by
-/// [`characterize_campaign`]; persisted by `htd-store`.
+/// One channel's durable characterized state: everything scoring needs
+/// once the reference devices have left the bench. Produced by
+/// [`crate::Run::characterize`]; persisted by `htd-store`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelState {
     /// The channel's label ([`Channel::name`]).
     pub channel: String,
-    /// Measurement parameters established on the golden population.
+    /// Measurement parameters established on the reference lot.
     pub calibration: Calibration,
-    /// The golden-population reference (`E_n(G)` / mean onset matrix).
-    pub reference: GoldenReference,
-    /// Per-die golden scores against the reference (die order).
-    pub scores: Vec<f64>,
-    /// Die indices the scores cover, ascending. `0..n_dies` for a
-    /// fault-free characterization; a strict subset when dies were
+    /// What suspect scores are compared against.
+    pub baseline: Baseline,
+    /// Die indices the baseline scores cover, ascending. `0..n_dies` for
+    /// a fault-free characterization; a strict subset when dies were
     /// quarantined under a degraded policy.
     pub kept: Vec<usize>,
     /// Acquisition health of the characterization run for this channel.
@@ -187,8 +249,8 @@ pub struct ChannelState {
 }
 
 impl ChannelState {
-    /// A fault-free channel state: `kept` covers every score index and
-    /// the health record is pristine.
+    /// A fault-free golden channel state: `kept` covers every score index
+    /// and the health record is pristine.
     pub fn pristine(
         channel: impl Into<String>,
         calibration: Calibration,
@@ -200,31 +262,38 @@ impl ChannelState {
         ChannelState {
             channel,
             calibration,
-            reference,
             kept: (0..scores.len()).collect(),
-            scores,
+            baseline: Baseline::Golden { reference, scores },
             health,
         }
     }
 }
 
-/// A trusted characterization of one golden population: the campaign it
-/// was measured under plus every channel's [`ChannelState`]. This is the
-/// paper's "golden model", in amortisable form — characterize once with
-/// [`characterize_campaign`], then score any number of suspect
-/// populations with [`score_campaign`].
+/// A trusted characterization of one reference lot: the campaign it was
+/// measured under plus every channel's [`ChannelState`]. In the golden
+/// mode this is the paper's "golden model", in amortisable form —
+/// characterize once, then score any number of suspect populations.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GoldenCharacterization {
-    /// The campaign the golden population was measured under. Scoring
+pub struct Characterization {
+    /// The campaign the reference lot was measured under. Scoring
     /// re-derives every suspect seed from this plan's seed tree.
     pub plan: CampaignPlan,
-    /// Per-channel golden state, in channel execution order.
+    /// Per-channel state, in channel execution order.
     pub states: Vec<ChannelState>,
     /// Channels lost entirely during characterization (calibration
     /// diverged, or too few dies survived), recorded so a degraded
     /// characterization cannot pass for a complete one. Empty for a
     /// fault-free run.
     pub lost: Vec<ChannelHealth>,
+}
+
+impl Characterization {
+    /// The mode of the stored baselines (golden when there are none).
+    pub fn mode(&self) -> Mode {
+        self.states
+            .first()
+            .map_or(Mode::Golden, |s| s.baseline.mode())
+    }
 }
 
 /// One channel's scored populations for a single suspect design: the
@@ -241,7 +310,7 @@ pub struct ScoredChannel {
 }
 
 /// One suspect design's scored channel populations, as produced inside
-/// [`score_campaign_faulted`] (the per-design artifacts `htd score
+/// [`crate::Run::score`] (the per-design artifacts `htd score
 /// --scores-dir` persists).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoredDesign {
@@ -263,52 +332,25 @@ pub struct ScoredCampaign {
     pub designs: Vec<ScoredDesign>,
 }
 
-/// Acquires and scores one design population for one channel. The fan is
-/// per die on `engine`; the per-die acquisition runs on
-/// [`Engine::serial`] so pools never nest (the values are bit-identical
-/// either way), and every seed comes from the plan's seed tree.
-fn score_population(
-    engine: &Engine,
-    channel: &dyn Channel,
-    devs: &[ProgrammedDevice<'_>],
-    plan: &CampaignPlan,
-    calibration: &Calibration,
-    reference: &GoldenReference,
-    seed_of: impl Fn(usize) -> u64 + Sync,
-) -> Result<Vec<f64>, Error> {
-    let _span = engine.obs().span(&format!("acquire.{}", channel.name()));
-    let acquisitions = engine
-        .map(devs, |j, dev| {
-            channel.acquire(&engine.serial_like(), dev, plan, calibration, seed_of(j))
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-    acquisitions
-        .iter()
-        .map(|a| channel.score(a, reference, calibration))
-        .collect()
+/// One suspect design scored through a [`crate::run::Session`]: the
+/// report row, the stored per-channel populations, and the per-channel
+/// scoring health (one record per surviving channel, in characterization
+/// order) for the caller's campaign ledger.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpecScore {
+    /// The suspect's report row (per-channel results plus fused).
+    pub row: MultiChannelRow,
+    /// The raw scored populations behind the row.
+    pub design: ScoredDesign,
+    /// Scoring health per channel, aligned with the stored states.
+    pub health: Vec<ChannelHealth>,
 }
 
 /// The fused statistic: per die, the sum over channels of the
-/// golden-normalised z-score. Channel order fixes the summation order.
-fn fuse(golden_fits: &[Gaussian], per_channel_scores: &[Vec<f64>], n_dies: usize) -> Vec<f64> {
-    (0..n_dies)
-        .map(|j| {
-            golden_fits
-                .iter()
-                .zip(per_channel_scores)
-                .map(|(g, scores)| (scores[j] - g.mean()) / g.std())
-                .sum()
-        })
-        .collect()
-}
-
-/// [`fuse`] over partially-kept populations: each channel supplies
+/// baseline-normalised z-score, in channel order. Each channel supplies
 /// `(kept die indices, scores)`, and a die contributes a fused value
 /// only when **every** channel kept it (a z-score sum with a missing
-/// addend would not be comparable). With identity masks this performs
-/// exactly the floating-point operations of [`fuse`], in the same
-/// order.
+/// addend would not be comparable).
 pub(crate) fn fuse_masked(
     golden_fits: &[Gaussian],
     per_channel: &[(&[usize], &[f64])],
@@ -359,27 +401,6 @@ pub fn masked_feature_rows(per_channel: &[(&[usize], &[f64])], n_dies: usize) ->
         .collect()
 }
 
-/// Checks a classifier's feature labels against the campaign's channel
-/// names (count, names, order).
-pub(crate) fn check_model_features<'n>(
-    model: &LogisticModel,
-    names: impl ExactSizeIterator<Item = &'n str>,
-) -> Result<(), Error> {
-    let mismatch = || Error::ChannelShapeMismatch {
-        channel: model.features.join("+"),
-        expected: "classifier features matching the channel set",
-    };
-    if model.features.len() != names.len() {
-        return Err(mismatch());
-    }
-    for (feature, name) in model.features.iter().zip(names) {
-        if feature != name {
-            return Err(mismatch());
-        }
-    }
-    Ok(())
-}
-
 /// The learned analogue of the fused channel: per-die classifier logits
 /// over the dies kept by every channel, reduced exactly like any other
 /// metric population. The empirical rates are taken at logit `0` — the
@@ -425,367 +446,6 @@ pub(crate) fn learned_result(
         empirical_fn_rate: fnr,
         empirical_fp_rate: fp,
     })
-}
-
-/// Fits the golden Gaussian of every channel state (the fusion
-/// normalisation).
-fn golden_fits(states: &[ChannelState]) -> Result<Vec<Gaussian>, Error> {
-    states
-        .iter()
-        .map(|state| {
-            Gaussian::fit(&state.scores).map_err(|source| Error::DegeneratePopulation {
-                channel: state.channel.clone(),
-                samples: state.scores.len(),
-                source,
-            })
-        })
-        .collect()
-}
-
-/// Characterizes the golden population of `plan` under every supplied
-/// channel, with the default (auto-sized) [`Engine`].
-///
-/// # Errors
-///
-/// [`Error::EmptyPopulation`] with no channels, [`Error::NotEnoughDies`]
-/// below two dies; design and simulation failures otherwise.
-pub fn characterize_campaign(
-    lab: &Lab,
-    plan: &CampaignPlan,
-    channels: &[&dyn Channel],
-) -> Result<GoldenCharacterization, Error> {
-    characterize_campaign_with(&Engine::default(), lab, plan, channels)
-}
-
-/// [`characterize_campaign`] on an explicit [`Engine`].
-///
-/// Each golden (die) device is programmed **once** and reused — with its
-/// simulation caches warm — across calibration, reference building and
-/// golden scoring. All per-die fans use seeds from the plan's seed tree,
-/// so the characterization is bit-identical for every worker count.
-///
-/// # Errors
-///
-/// See [`characterize_campaign`].
-pub fn characterize_campaign_with(
-    engine: &Engine,
-    lab: &Lab,
-    plan: &CampaignPlan,
-    channels: &[&dyn Channel],
-) -> Result<GoldenCharacterization, Error> {
-    characterize_campaign_faulted(
-        engine,
-        lab,
-        plan,
-        channels,
-        &FaultPlan::none(),
-        &RetryPolicy::strict(),
-    )
-}
-
-/// One channel's population acquisition under a fault plan: the kept die
-/// indices (ascending), their acquisitions, and the health ledger.
-pub(crate) struct PopulationAcquisition {
-    pub(crate) kept: Vec<usize>,
-    pub(crate) acquisitions: Vec<Acquisition>,
-    pub(crate) health: ChannelHealth,
-}
-
-/// Acquires one channel over a device population with retry and
-/// quarantine. Fault decisions and retry seeds derive from
-/// `(channel index, population tag, die index, attempt)` — indices,
-/// never scheduling — so the same plan quarantines the same dies at any
-/// worker count. Under [`FaultPlan::none`] and the strict policy this
-/// performs exactly the acquisitions of the historical fault-oblivious
-/// loop.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn acquire_population_faulted(
-    engine: &Engine,
-    channel: &dyn Channel,
-    channel_index: usize,
-    devs: &[ProgrammedDevice<'_>],
-    plan: &CampaignPlan,
-    calibration: &Calibration,
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-    pop: u64,
-    seed_of: impl Fn(usize) -> u64 + Sync,
-) -> Result<PopulationAcquisition, Error> {
-    let _span = engine.obs().span(&format!("acquire.{}", channel.name()));
-    let outcomes = engine.map_retry(devs.len(), policy.max_retries, |j, attempt| {
-        let ctx = [channel_index as u64, pop, j as u64, attempt as u64];
-        if faults.fires(FaultSite::Acquire, &ctx) {
-            engine.obs().incr("faults.acquire.fired");
-            return Attempt::Faulted;
-        }
-        let seed = retry_seed(seed_of(j), attempt);
-        match channel.acquire_faulted(
-            &engine.serial_like(),
-            &devs[j],
-            plan,
-            calibration,
-            seed,
-            faults,
-            &ctx,
-        ) {
-            Ok(Some(value)) => Attempt::Ok(value),
-            Ok(None) => Attempt::Faulted,
-            Err(e) => Attempt::Fatal(e),
-        }
-    })?;
-    // Repetition counters stay zero under the none-plan so a fault-free
-    // run reports exactly the pristine health record.
-    let track_reps = !faults.is_none();
-    let mut health = ChannelHealth::pristine(channel.name(), 0);
-    let mut kept = Vec::with_capacity(devs.len());
-    let mut acquisitions = Vec::with_capacity(devs.len());
-    for (j, outcome) in outcomes.into_iter().enumerate() {
-        health.attempted += outcome.attempts;
-        health.retried += outcome.attempts - 1;
-        match outcome.value {
-            Some((acquisition, reps)) => {
-                if track_reps {
-                    health.reps_attempted += reps.attempted;
-                    health.reps_dropped += reps.dropped;
-                }
-                kept.push(j);
-                acquisitions.push(acquisition);
-            }
-            None => {
-                if !policy.allow_degraded {
-                    return Err(Error::AcquisitionExhausted {
-                        channel: channel.name().to_string(),
-                        die: j,
-                        attempts: outcome.attempts,
-                    });
-                }
-                health.dropped += 1;
-            }
-        }
-    }
-    // Retry totals are index-pure (see above), so this counter is as
-    // worker-invariant as the health ledger it mirrors.
-    engine.obs().add("retry.acquire", health.retried as u64);
-    Ok(PopulationAcquisition {
-        kept,
-        acquisitions,
-        health,
-    })
-}
-
-/// [`characterize_campaign_with`] under a [`FaultPlan`] and
-/// [`RetryPolicy`]: calibrations that diverge and acquisitions that fail
-/// are retried up to the budget with fresh index-derived seeds; with
-/// `allow_degraded`, exhausted dies are quarantined (recorded in the
-/// state's [`ChannelHealth`]) and exhausted calibrations lose the whole
-/// channel (recorded in [`GoldenCharacterization::lost`]).
-///
-/// Determinism: every fault decision and retry seed derives from the
-/// event's indices, so the same plans produce a bit-identical (possibly
-/// degraded) characterization at any worker count. Fed
-/// [`FaultPlan::none`] + [`RetryPolicy::strict`], this *is* the
-/// historical fault-oblivious characterization, bit for bit.
-///
-/// # Errors
-///
-/// [`Error::AcquisitionExhausted`] / [`Error::CalibrationDiverged`] when
-/// a budget runs out under the strict policy; [`Error::EmptyPopulation`]
-/// when every channel is lost; plus all of
-/// [`characterize_campaign`]'s errors.
-pub fn characterize_campaign_faulted(
-    engine: &Engine,
-    lab: &Lab,
-    plan: &CampaignPlan,
-    channels: &[&dyn Channel],
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Result<GoldenCharacterization, Error> {
-    if channels.is_empty() {
-        return Err(Error::EmptyPopulation {
-            what: "channel list",
-        });
-    }
-    if plan.n_dies < 2 {
-        return Err(Error::NotEnoughDies {
-            got: plan.n_dies,
-            need: 2,
-        });
-    }
-    let _span = engine.obs().span("characterize");
-    let golden = Design::golden(lab)?;
-    let dies = lab.fabricate_batch(plan.n_dies);
-    let golden_devs: Vec<ProgrammedDevice<'_>> = {
-        let _span = engine.obs().span("program");
-        engine.map(&dies, |_, die| {
-            ProgrammedDevice::with_obs(lab, &golden, die, engine.obs().clone())
-        })
-    };
-
-    let mut states: Vec<ChannelState> = Vec::with_capacity(channels.len());
-    let mut lost: Vec<ChannelHealth> = Vec::new();
-    for (c, channel) in channels.iter().enumerate() {
-        // Calibration, re-run on injected divergence.
-        let mut calibration = None;
-        let mut cal_attempts = 0usize;
-        {
-            let _span = engine.obs().span(&format!("calibrate.{}", channel.name()));
-            for attempt in 0..=policy.max_retries {
-                cal_attempts = attempt + 1;
-                if faults.fires(FaultSite::Calibrate, &[c as u64, attempt as u64]) {
-                    engine.obs().incr("faults.calibrate.fired");
-                    continue;
-                }
-                calibration = Some(channel.calibrate(engine, plan, &golden_devs)?);
-                break;
-            }
-            engine
-                .obs()
-                .add("retry.calibrate", (cal_attempts - 1) as u64);
-        }
-        let Some(calibration) = calibration else {
-            if !policy.allow_degraded {
-                return Err(Error::CalibrationDiverged {
-                    channel: channel.name().to_string(),
-                    attempts: cal_attempts,
-                });
-            }
-            // For a lost channel the attempt counters record the
-            // calibration attempts that exhausted the budget.
-            let mut health = ChannelHealth::pristine(channel.name(), cal_attempts);
-            health.retried = cal_attempts - 1;
-            health.lost = true;
-            lost.push(health);
-            continue;
-        };
-        let population = acquire_population_faulted(
-            engine,
-            *channel,
-            c,
-            &golden_devs,
-            plan,
-            &calibration,
-            faults,
-            policy,
-            POP_GOLDEN,
-            |j| plan.die_seed(j),
-        )?;
-        let mut health = population.health;
-        // Calibration retries count as retries without changing the
-        // distinct-die population.
-        health.attempted += cal_attempts - 1;
-        health.retried += cal_attempts - 1;
-        if population.kept.len() < 2 {
-            // Only reachable under allow_degraded (otherwise the first
-            // exhausted die already aborted above).
-            health.lost = true;
-            lost.push(health);
-            continue;
-        }
-        let reference = channel.characterize_golden(&population.acquisitions, &calibration)?;
-        let scores = population
-            .acquisitions
-            .iter()
-            .map(|a| channel.score(a, &reference, &calibration))
-            .collect::<Result<Vec<f64>, _>>()?;
-        states.push(ChannelState {
-            channel: channel.name().to_string(),
-            calibration,
-            reference,
-            scores,
-            kept: population.kept,
-            health,
-        });
-    }
-    if states.is_empty() {
-        return Err(Error::EmptyPopulation {
-            what: "surviving channels",
-        });
-    }
-    Ok(GoldenCharacterization {
-        plan: plan.clone(),
-        states,
-        lost,
-    })
-}
-
-/// Checks that the supplied channels match the stored characterization
-/// one-to-one (same count, same names, same order).
-fn check_channels_match(
-    charac: &GoldenCharacterization,
-    channels: &[&dyn Channel],
-) -> Result<(), Error> {
-    if channels.len() != charac.states.len() {
-        return Err(Error::ChannelShapeMismatch {
-            channel: format!("{} stored channel state(s)", charac.states.len()),
-            expected: "one live channel per stored state",
-        });
-    }
-    for (channel, state) in channels.iter().zip(&charac.states) {
-        if channel.name() != state.channel {
-            return Err(Error::ChannelShapeMismatch {
-                channel: state.channel.clone(),
-                expected: "a live channel with the stored state's name",
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Scores one suspect design's population against a characterization.
-///
-/// `spec_index` is the design's position in the campaign's suspect list:
-/// it selects the design's seed stream
-/// ([`CampaignPlan::spec_die_seed`]), so scoring design `s` alone
-/// reproduces exactly the scores it gets inside a batched
-/// [`score_campaign`] at position `s`.
-///
-/// # Errors
-///
-/// [`Error::ChannelShapeMismatch`] when `channels` does not match the
-/// stored states; design and simulation failures otherwise.
-pub fn score_design_with(
-    engine: &Engine,
-    lab: &Lab,
-    charac: &GoldenCharacterization,
-    spec_index: usize,
-    spec: &TrojanSpec,
-    channels: &[&dyn Channel],
-) -> Result<(f64, Vec<ScoredChannel>), Error> {
-    check_channels_match(charac, channels)?;
-    let _span = engine.obs().span("score");
-    let plan = &charac.plan;
-    let golden = Design::golden(lab)?;
-    let golden_slices = golden.used_slices();
-    let dies = lab.fabricate_batch(plan.n_dies);
-    let infected = Design::infected_with_obs(lab, spec, engine.obs())?;
-    let infected_devs: Vec<ProgrammedDevice<'_>> = {
-        let _span = engine.obs().span("program");
-        engine.map(&dies, |_, die| {
-            ProgrammedDevice::with_obs(lab, &infected, die, engine.obs().clone())
-        })
-    };
-    let mut scored = Vec::with_capacity(channels.len());
-    for (channel, state) in channels.iter().zip(&charac.states) {
-        let infected_scores = score_population(
-            engine,
-            *channel,
-            &infected_devs,
-            plan,
-            &state.calibration,
-            &state.reference,
-            |j| plan.spec_die_seed(spec_index, j),
-        )?;
-        scored.push(ScoredChannel {
-            channel: state.channel.clone(),
-            golden: state.scores.clone(),
-            infected: infected_scores,
-        });
-    }
-    let size_fraction = infected
-        .trojan()
-        .map(|t| t.fraction_of_design(golden_slices))
-        .unwrap_or(0.0);
-    Ok((size_fraction, scored))
 }
 
 /// Fuses stored per-channel scored populations into per-channel
@@ -835,532 +495,27 @@ pub fn fuse_scored_channels(
             })
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let golden_scores: Vec<Vec<f64>> = sets.iter().map(|s| s.golden.clone()).collect();
-    let infected_scores: Vec<Vec<f64>> = sets.iter().map(|s| s.infected.clone()).collect();
-    let golden_fused = fuse(&fits, &golden_scores, n_dies);
-    let infected_fused = fuse(&fits, &infected_scores, n_dies);
+    let all: Vec<usize> = (0..n_dies).collect();
+    let fused_of = |scores: fn(&ScoredChannel) -> &[f64]| {
+        let per_channel: Vec<(&[usize], &[f64])> = sets
+            .iter()
+            .map(|set| (all.as_slice(), scores(set)))
+            .collect();
+        fuse_masked(&fits, &per_channel, n_dies)
+    };
+    let golden_fused = fused_of(|set| &set.golden);
+    let infected_fused = fused_of(|set| &set.infected);
     let fused = ChannelResult::fit("fused", &golden_fused, &infected_fused)?;
     Ok((per_channel, fused))
-}
-
-/// Scores suspect designs against a characterization, with the default
-/// (auto-sized) [`Engine`].
-///
-/// # Errors
-///
-/// See [`score_campaign_with`].
-pub fn score_campaign(
-    lab: &Lab,
-    charac: &GoldenCharacterization,
-    specs: &[TrojanSpec],
-    channels: &[&dyn Channel],
-) -> Result<MultiChannelReport, Error> {
-    score_campaign_with(&Engine::default(), lab, charac, specs, channels)
-}
-
-/// [`score_campaign`] on an explicit [`Engine`]: the second half of
-/// [`multi_channel_experiment`], runnable any number of times (and in any
-/// process) against the same characterization without re-measuring the
-/// golden population.
-///
-/// # Errors
-///
-/// [`Error::ChannelShapeMismatch`] when `channels` does not match the
-/// stored states; [`Error::DegeneratePopulation`] when a metric
-/// population has no spread; design and simulation failures otherwise.
-pub fn score_campaign_with(
-    engine: &Engine,
-    lab: &Lab,
-    charac: &GoldenCharacterization,
-    specs: &[TrojanSpec],
-    channels: &[&dyn Channel],
-) -> Result<MultiChannelReport, Error> {
-    Ok(score_campaign_faulted(
-        engine,
-        lab,
-        charac,
-        specs,
-        channels,
-        &FaultPlan::none(),
-        &RetryPolicy::strict(),
-    )?
-    .report)
-}
-
-/// [`score_campaign_with`] under a [`FaultPlan`] and [`RetryPolicy`]:
-/// suspect acquisitions retry and quarantine exactly like
-/// [`characterize_campaign_faulted`]'s (suspect design `s` uses
-/// population tag `s + 1` in the fault-decision context), fusion runs
-/// over the dies kept by *every* channel, and the returned report
-/// carries a per-channel [`ChannelHealth`] section whenever the fault
-/// plan is active or the characterization is degraded.
-///
-/// Fed [`FaultPlan::none`] + [`RetryPolicy::strict`] on a pristine
-/// characterization, the report is bit-identical to the historical
-/// [`score_campaign_with`] and its health section is empty.
-///
-/// # Errors
-///
-/// [`Error::AcquisitionExhausted`] when a suspect die exhausts its
-/// budget under the strict policy; [`Error::ChannelDegraded`] when
-/// quarantine leaves a suspect population below two dies; plus all of
-/// [`score_campaign`]'s errors.
-pub fn score_campaign_faulted(
-    engine: &Engine,
-    lab: &Lab,
-    charac: &GoldenCharacterization,
-    specs: &[TrojanSpec],
-    channels: &[&dyn Channel],
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Result<ScoredCampaign, Error> {
-    score_campaign_faulted_with_model(engine, lab, charac, specs, channels, faults, policy, None)
-}
-
-/// [`score_campaign_faulted`] with an optional trained classifier: when
-/// `model` is `Some`, every row's fused slot carries the `learned`
-/// channel (see [`ScoringSession::with_model`]) instead of the z-score
-/// sum. `None` is bit-identical to [`score_campaign_faulted`].
-///
-/// # Errors
-///
-/// [`Error::ChannelShapeMismatch`] when the model's features do not
-/// match the channel set; plus all of [`score_campaign_faulted`]'s
-/// errors.
-#[allow(clippy::too_many_arguments)]
-pub fn score_campaign_faulted_with_model(
-    engine: &Engine,
-    lab: &Lab,
-    charac: &GoldenCharacterization,
-    specs: &[TrojanSpec],
-    channels: &[&dyn Channel],
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-    model: Option<&LogisticModel>,
-) -> Result<ScoredCampaign, Error> {
-    check_channels_match(charac, channels)?;
-    let _span = engine.obs().span("score");
-    let mut session = ScoringSession::new(engine, lab, charac, channels)?;
-    if let Some(model) = model {
-        session = session.with_model(model)?;
-    }
-
-    // Scoring health accumulates per channel across every design.
-    let mut scoring_health: Vec<Option<ChannelHealth>> = vec![None; channels.len()];
-    let mut rows = Vec::with_capacity(specs.len());
-    let mut designs = Vec::with_capacity(specs.len());
-    for (s, spec) in specs.iter().enumerate() {
-        let scored = session.score_spec_at(s, spec, faults, policy)?;
-        for (c, h) in scored.health.iter().enumerate() {
-            match &mut scoring_health[c] {
-                Some(acc) => acc.merge(h),
-                slot => *slot = Some(h.clone()),
-            }
-        }
-        rows.push(scored.row);
-        designs.push(scored.design);
-    }
-
-    let report = MultiChannelReport {
-        rows,
-        n_dies: charac.plan.n_dies,
-        channel_names: charac.states.iter().map(|s| s.channel.clone()).collect(),
-        health: health_section(charac, &scoring_health, faults),
-    };
-    Ok(ScoredCampaign { report, designs })
-}
-
-/// The amortized half of suspect scoring: everything that depends only
-/// on the characterization, not on any particular suspect — the golden
-/// design's slice count, the fabricated die population and (for
-/// multi-channel campaigns) the golden fusion fits.
-///
-/// [`score_campaign_faulted`] builds one session per campaign; `htd
-/// serve` builds one per plan-digest batch so this setup is paid once
-/// per batch instead of once per request. Scoring through a session *is*
-/// the batched campaign path, so a suspect scored alone at `index` is
-/// bit-identical to the same suspect inside any batch at position
-/// `index`, at any worker count.
-pub struct ScoringSession<'a> {
-    engine: &'a Engine,
-    lab: &'a Lab,
-    charac: &'a GoldenCharacterization,
-    channels: &'a [&'a dyn Channel],
-    golden_slices: usize,
-    dies: Vec<DieVariation>,
-    fits: Vec<Gaussian>,
-    golden_fused: Option<Vec<f64>>,
-    model: Option<&'a LogisticModel>,
-}
-
-/// One suspect design scored through a [`ScoringSession`]: the report
-/// row, the stored per-channel populations, and the per-channel scoring
-/// health (one record per surviving channel, in characterization order)
-/// for the caller's campaign ledger.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpecScore {
-    /// The suspect's report row (per-channel results plus fused).
-    pub row: MultiChannelRow,
-    /// The raw scored populations behind the row.
-    pub design: ScoredDesign,
-    /// Scoring health per channel, aligned with the stored states.
-    pub health: Vec<ChannelHealth>,
-}
-
-impl<'a> ScoringSession<'a> {
-    /// Prepares the shared scoring state for `charac`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ChannelShapeMismatch`] when `channels` does not match
-    /// the stored states; [`Error::DegeneratePopulation`] when a golden
-    /// population has no spread (multi-channel only); design failures
-    /// otherwise.
-    pub fn new(
-        engine: &'a Engine,
-        lab: &'a Lab,
-        charac: &'a GoldenCharacterization,
-        channels: &'a [&'a dyn Channel],
-    ) -> Result<Self, Error> {
-        check_channels_match(charac, channels)?;
-        let plan = &charac.plan;
-        let golden = Design::golden(lab)?;
-        let golden_slices = golden.used_slices();
-        let dies = lab.fabricate_batch(plan.n_dies);
-
-        // Fusion normalisation: the golden fit of each channel. Only
-        // needed (and only required to be non-degenerate) when there is
-        // something to fuse.
-        let (fits, golden_fused) = if channels.len() >= 2 {
-            let _span = engine.obs().span("fuse");
-            let fits = golden_fits(&charac.states)?;
-            let masked: Vec<(&[usize], &[f64])> = charac
-                .states
-                .iter()
-                .map(|s| (s.kept.as_slice(), s.scores.as_slice()))
-                .collect();
-            let fused = fuse_masked(&fits, &masked, plan.n_dies);
-            (fits, Some(fused))
-        } else {
-            (Vec::new(), None)
-        };
-        Ok(ScoringSession {
-            engine,
-            lab,
-            charac,
-            channels,
-            golden_slices,
-            dies,
-            fits,
-            golden_fused,
-            model: None,
-        })
-    }
-
-    /// The characterization this session scores against.
-    pub fn characterization(&self) -> &GoldenCharacterization {
-        self.charac
-    }
-
-    /// Attaches a trained classifier: every subsequent score replaces
-    /// the z-score-sum fused channel with the `learned` channel (per-die
-    /// classifier logits, empirical rates at the trained logit-0
-    /// boundary). Works for any channel count, including one.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ChannelShapeMismatch`] when the model's feature labels
-    /// do not match the characterization's channels (count, names,
-    /// order).
-    pub fn with_model(mut self, model: &'a LogisticModel) -> Result<Self, Error> {
-        check_model_features(model, self.charac.states.iter().map(|s| s.channel.as_str()))?;
-        self.model = Some(model);
-        Ok(self)
-    }
-
-    /// Scores one suspect at campaign position `index`: the index picks
-    /// the design's seed stream ([`CampaignPlan::spec_die_seed`]) and
-    /// fault-population tag, so a standalone score at `index` equals the
-    /// same spec inside a batched campaign at that position.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::AcquisitionExhausted`] when a suspect die exhausts its
-    /// budget under the strict policy; [`Error::ChannelDegraded`] when
-    /// quarantine leaves a population below two dies; design and
-    /// simulation failures otherwise.
-    pub fn score_spec_at(
-        &self,
-        index: usize,
-        spec: &TrojanSpec,
-        faults: &FaultPlan,
-        policy: &RetryPolicy,
-    ) -> Result<SpecScore, Error> {
-        let engine = self.engine;
-        let plan = &self.charac.plan;
-        let infected = Design::infected_with_obs(self.lab, spec, engine.obs())?;
-        let infected_devs: Vec<ProgrammedDevice<'_>> = {
-            let _span = engine.obs().span("program");
-            engine.map(&self.dies, |_, die| {
-                ProgrammedDevice::with_obs(self.lab, &infected, die, engine.obs().clone())
-            })
-        };
-        let mut per_channel: Vec<(Vec<usize>, Vec<f64>)> = Vec::with_capacity(self.channels.len());
-        let mut scored_sets = Vec::with_capacity(self.channels.len());
-        let mut health = Vec::with_capacity(self.channels.len());
-        for (c, (channel, state)) in self.channels.iter().zip(&self.charac.states).enumerate() {
-            let population = acquire_population_faulted(
-                engine,
-                *channel,
-                c,
-                &infected_devs,
-                plan,
-                &state.calibration,
-                faults,
-                policy,
-                (index as u64) + 1,
-                |j| plan.spec_die_seed(index, j),
-            )?;
-            if population.kept.len() < 2 {
-                return Err(Error::ChannelDegraded {
-                    channel: state.channel.clone(),
-                    kept: population.kept.len(),
-                    need: 2,
-                });
-            }
-            let scores = population
-                .acquisitions
-                .iter()
-                .map(|a| channel.score(a, &state.reference, &state.calibration))
-                .collect::<Result<Vec<f64>, _>>()?;
-            health.push(population.health);
-            scored_sets.push(ScoredChannel {
-                channel: state.channel.clone(),
-                golden: state.scores.clone(),
-                infected: scores.clone(),
-            });
-            per_channel.push((population.kept, scores));
-        }
-        let channel_results = self
-            .charac
-            .states
-            .iter()
-            .zip(&per_channel)
-            .map(|(state, (_, scores))| {
-                ChannelResult::fit(state.channel.clone(), &state.scores, scores)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let suspect_masked: Vec<(&[usize], &[f64])> = per_channel
-            .iter()
-            .map(|(kept, scores)| (kept.as_slice(), scores.as_slice()))
-            .collect();
-        let fused = if let Some(model) = self.model {
-            let _span = engine.obs().span("fuse");
-            let golden_masked: Vec<(&[usize], &[f64])> = self
-                .charac
-                .states
-                .iter()
-                .map(|s| (s.kept.as_slice(), s.scores.as_slice()))
-                .collect();
-            Some(learned_result(
-                model,
-                &golden_masked,
-                &suspect_masked,
-                plan.n_dies,
-            )?)
-        } else {
-            match &self.golden_fused {
-                Some(golden_fused) => {
-                    let _span = engine.obs().span("fuse");
-                    let infected_fused = fuse_masked(&self.fits, &suspect_masked, plan.n_dies);
-                    Some(ChannelResult::fit("fused", golden_fused, &infected_fused)?)
-                }
-                None => None,
-            }
-        };
-        let size_fraction = infected
-            .trojan()
-            .map(|t| t.fraction_of_design(self.golden_slices))
-            .unwrap_or(0.0);
-        engine.obs().incr("score.designs");
-        Ok(SpecScore {
-            row: MultiChannelRow {
-                name: spec.name.clone(),
-                size_fraction,
-                channels: channel_results,
-                fused,
-            },
-            design: ScoredDesign {
-                name: spec.name.clone(),
-                size_fraction,
-                scored: scored_sets,
-            },
-            health,
-        })
-    }
-
-    /// Assembles the one-row [`MultiChannelReport`] of a single suspect
-    /// scored through this session — exactly the report `htd score`
-    /// writes for the same (artifact, suspect) pair, which is what lets
-    /// the serve path promise byte-identical responses.
-    pub fn single_report(&self, score: &SpecScore, faults: &FaultPlan) -> MultiChannelReport {
-        let scoring: Vec<Option<ChannelHealth>> = score.health.iter().cloned().map(Some).collect();
-        MultiChannelReport {
-            rows: vec![score.row.clone()],
-            n_dies: self.charac.plan.n_dies,
-            channel_names: self
-                .charac
-                .states
-                .iter()
-                .map(|s| s.channel.clone())
-                .collect(),
-            health: health_section(self.charac, &scoring, faults),
-        }
-    }
-}
-
-/// The health section of a report scored against `charac`: it appears
-/// whenever faults could have fired or the characterization already lost
-/// something, so a pristine campaign keeps the historical (empty) shape.
-fn health_section(
-    charac: &GoldenCharacterization,
-    scoring_health: &[Option<ChannelHealth>],
-    faults: &FaultPlan,
-) -> Vec<ChannelHealth> {
-    let plan = &charac.plan;
-    let charac_degraded = !charac.lost.is_empty()
-        || charac
-            .states
-            .iter()
-            .any(|s| s.kept.len() != plan.n_dies || !s.health.is_pristine(plan.n_dies));
-    let mut health = Vec::new();
-    if !faults.is_none() || charac_degraded {
-        for (c, state) in charac.states.iter().enumerate() {
-            let mut h = state.health.clone();
-            if let Some(scoring) = scoring_health.get(c).and_then(Option::as_ref) {
-                h.merge(scoring);
-            }
-            health.push(h);
-        }
-        health.extend(charac.lost.iter().cloned());
-    }
-    health
-}
-
-/// Runs a [`CampaignPlan`] through every supplied [`Channel`] over one
-/// shared die population, with the default (auto-sized) [`Engine`].
-///
-/// # Errors
-///
-/// [`Error::EmptyPopulation`] with no channels, [`Error::NotEnoughDies`]
-/// below two dies, [`Error::DegeneratePopulation`] when a metric
-/// population has no spread; design and simulation failures otherwise.
-pub fn multi_channel_experiment(
-    lab: &Lab,
-    plan: &CampaignPlan,
-    specs: &[TrojanSpec],
-    channels: &[&dyn Channel],
-) -> Result<MultiChannelReport, Error> {
-    multi_channel_experiment_with(&Engine::default(), lab, plan, specs, channels)
-}
-
-/// [`multi_channel_experiment`] on an explicit [`Engine`]:
-/// [`characterize_campaign_with`] followed by [`score_campaign_with`].
-///
-/// All per-die fans use seeds from the plan's seed tree, so the report is
-/// bit-identical for every worker count, any channel subset reproduces
-/// the same per-channel numbers, and a characterization saved to disk and
-/// reloaded scores identically to this in-memory composition.
-///
-/// # Errors
-///
-/// See [`multi_channel_experiment`].
-pub fn multi_channel_experiment_with(
-    engine: &Engine,
-    lab: &Lab,
-    plan: &CampaignPlan,
-    specs: &[TrojanSpec],
-    channels: &[&dyn Channel],
-) -> Result<MultiChannelReport, Error> {
-    let charac = characterize_campaign_with(engine, lab, plan, channels)?;
-    score_campaign_with(engine, lab, &charac, specs, channels)
-}
-
-/// Runs the fused delay+EM experiment over `n_dies` dies.
-///
-/// The delay campaign is intentionally small (a handful of pairs) — the
-/// point is channel comparison, not full fingerprinting.
-///
-/// # Errors
-///
-/// Propagates design construction, simulation and fitting failures.
-#[allow(clippy::too_many_arguments)]
-pub fn fusion_experiment(
-    lab: &Lab,
-    specs: &[TrojanSpec],
-    n_dies: usize,
-    campaign_pairs: usize,
-    pt: &[u8; 16],
-    key: &[u8; 16],
-    seed: u64,
-) -> Result<FusionReport, Error> {
-    fusion_experiment_with(
-        &Engine::default(),
-        lab,
-        specs,
-        n_dies,
-        campaign_pairs,
-        pt,
-        key,
-        seed,
-    )
-}
-
-/// [`fusion_experiment`] on an explicit [`Engine`]: the historical
-/// two-channel (EM + delay) view over [`multi_channel_experiment_with`].
-///
-/// # Errors
-///
-/// Propagates design construction, simulation and fitting failures.
-#[allow(clippy::too_many_arguments)]
-pub fn fusion_experiment_with(
-    engine: &Engine,
-    lab: &Lab,
-    specs: &[TrojanSpec],
-    n_dies: usize,
-    campaign_pairs: usize,
-    pt: &[u8; 16],
-    key: &[u8; 16],
-    seed: u64,
-) -> Result<FusionReport, Error> {
-    let plan = CampaignPlan::with_random_pairs(n_dies, campaign_pairs, 3, *pt, *key, seed);
-    let em = EmChannel::paper();
-    let delay = DelayChannel;
-    let report = multi_channel_experiment_with(engine, lab, &plan, specs, &[&em, &delay])?;
-    let mut rows = Vec::with_capacity(report.rows.len());
-    for row in report.rows {
-        let mut channels = row.channels.into_iter();
-        let (Some(em), Some(delay), Some(fused)) = (channels.next(), channels.next(), row.fused)
-        else {
-            return Err(Error::EmptyPopulation {
-                what: "per-channel results",
-            });
-        };
-        rows.push(FusionRow {
-            name: row.name,
-            em,
-            delay,
-            fused,
-        });
-    }
-    Ok(FusionReport { rows, n_dies })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::PowerChannel;
+    use crate::channel::{DelayChannel, EmChannel, PowerChannel};
     use crate::em_detect::TraceMetric;
+    use crate::{Lab, Run};
+    use htd_trojan::TrojanSpec;
 
     #[test]
     fn channel_result_computes_separation() {
@@ -1394,44 +549,50 @@ mod tests {
         ));
     }
 
+    /// Characterize then score one golden campaign on the default run.
+    fn experiment(
+        plan: &CampaignPlan,
+        specs: &[TrojanSpec],
+        channels: &[&dyn Channel],
+    ) -> Result<MultiChannelReport, Error> {
+        let (lab, run) = (Lab::paper(), Run::default());
+        let charac = run.characterize(&lab, plan, channels, Mode::Golden)?;
+        Ok(run.score(&lab, &charac, specs, channels)?.report)
+    }
+
     #[test]
     fn small_fusion_experiment_runs() {
-        let lab = Lab::paper();
-        let report = fusion_experiment(
-            &lab,
+        let plan = CampaignPlan::with_random_pairs(6, 2, 3, [0x11u8; 16], [0x22u8; 16], 42);
+        let report = experiment(
+            &plan,
             &[TrojanSpec::ht2()],
-            6,
-            2,
-            &[0x11u8; 16],
-            &[0x22u8; 16],
-            42,
+            &[&EmChannel::paper(), &DelayChannel],
         )
         .unwrap();
         assert_eq!(report.rows.len(), 1);
         let row = &report.rows[0];
-        assert!(row.em.mu > 0.0, "EM channel must separate");
+        let (em, delay) = (&row.channels[0], &row.channels[1]);
+        assert!(em.mu > 0.0, "EM channel must separate");
         // The fused channel should never be *worse* than the best single
         // channel by much (z-score fusion of a useless channel costs at
         // most √2 in σ).
-        let best = row.em.analytic_fn_rate.min(row.delay.analytic_fn_rate);
+        let best = em.analytic_fn_rate.min(delay.analytic_fn_rate);
+        let fused = row.fused.as_ref().expect("two channels fuse");
         assert!(
-            row.fused.analytic_fn_rate < best + 0.2,
+            fused.analytic_fn_rate < best + 0.2,
             "fused {} vs best {}",
-            row.fused.analytic_fn_rate,
+            fused.analytic_fn_rate,
             best
         );
     }
 
     #[test]
     fn three_channel_experiment_reports_every_channel_and_fusion() {
-        let lab = Lab::paper();
         let plan = CampaignPlan::with_random_pairs(6, 2, 3, [0x11u8; 16], [0x22u8; 16], 42);
         let em = EmChannel::paper();
         let delay = DelayChannel;
         let power = PowerChannel::new(TraceMetric::SumOfLocalMaxima);
-        let report =
-            multi_channel_experiment(&lab, &plan, &[TrojanSpec::ht2()], &[&em, &delay, &power])
-                .unwrap();
+        let report = experiment(&plan, &[TrojanSpec::ht2()], &[&em, &delay, &power]).unwrap();
         assert_eq!(report.channel_names, vec!["EM", "delay", "power"]);
         let row = &report.rows[0];
         assert_eq!(row.channels.len(), 3);
@@ -1443,39 +604,29 @@ mod tests {
         }
         // The two-channel EM/delay numbers are unchanged by the extra
         // power channel riding along in the same campaign.
-        let two = fusion_experiment(
-            &lab,
-            &[TrojanSpec::ht2()],
-            6,
-            2,
-            &[0x11u8; 16],
-            &[0x22u8; 16],
-            42,
-        )
-        .unwrap();
-        assert_eq!(row.channels[0].mu, two.rows[0].em.mu);
-        assert_eq!(row.channels[1].mu, two.rows[0].delay.mu);
+        let two = experiment(&plan, &[TrojanSpec::ht2()], &[&em, &delay]).unwrap();
+        assert_eq!(row.channels[0].mu, two.rows[0].channels[0].mu);
+        assert_eq!(row.channels[1].mu, two.rows[0].channels[1].mu);
     }
 
     #[test]
     fn runner_rejects_empty_and_undersized_campaigns() {
-        let lab = Lab::paper();
         let plan = CampaignPlan::traces(4, [0u8; 16], [0u8; 16], 1);
         assert!(matches!(
-            multi_channel_experiment(&lab, &plan, &[], &[]),
+            experiment(&plan, &[], &[]),
             Err(Error::EmptyPopulation { .. })
         ));
         let em = EmChannel::paper();
         let tiny = CampaignPlan::traces(1, [0u8; 16], [0u8; 16], 1);
         assert!(matches!(
-            multi_channel_experiment(&lab, &tiny, &[], &[&em]),
+            experiment(&tiny, &[], &[&em]),
             Err(Error::NotEnoughDies { got: 1, need: 2 })
         ));
     }
 
     #[test]
     fn scoring_rejects_mismatched_channel_sets() {
-        let charac = GoldenCharacterization {
+        let charac = Characterization {
             plan: CampaignPlan::traces(2, [0u8; 16], [0u8; 16], 1),
             states: vec![ChannelState::pristine(
                 "EM",
@@ -1485,21 +636,21 @@ mod tests {
             )],
             lost: vec![],
         };
-        let lab = Lab::paper();
+        let (lab, run) = (Lab::paper(), Run::default());
         let em = EmChannel::paper();
         let delay = DelayChannel;
         // Wrong count.
         assert!(matches!(
-            score_campaign(&lab, &charac, &[], &[&em, &delay]),
+            run.score(&lab, &charac, &[], &[&em, &delay]),
             Err(Error::ChannelShapeMismatch { .. })
         ));
         // Wrong name.
         assert!(matches!(
-            score_campaign(&lab, &charac, &[], &[&delay]),
+            run.score(&lab, &charac, &[], &[&delay]),
             Err(Error::ChannelShapeMismatch { .. })
         ));
         // Matching channels, no suspects: an empty report.
-        let report = score_campaign(&lab, &charac, &[], &[&em]).unwrap();
+        let report = run.score(&lab, &charac, &[], &[&em]).unwrap().report;
         assert!(report.rows.is_empty());
         assert_eq!(report.channel_names, vec!["EM"]);
     }

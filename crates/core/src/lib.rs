@@ -24,11 +24,14 @@
 //!   channel ([`EmChannel`](channel::EmChannel),
 //!   [`DelayChannel`](channel::DelayChannel),
 //!   [`PowerChannel`](channel::PowerChannel)) implements the same
-//!   acquire → characterize_golden → score stages, and
-//!   [`fusion::multi_channel_experiment`] drives any set of them over one
-//!   shared die population described by a [`CampaignPlan`].
-//! * [`engine`] — the deterministic measurement engine: every campaign
-//!   entry point has a `*_with(&Engine, …)` variant that fans pairs,
+//!   acquire → characterize_golden → score stages, and [`Run`] drives
+//!   any set of them over one shared die population described by a [`CampaignPlan`].
+//! * [`Run`] — the campaign pipeline: one context (engine, fault plan,
+//!   retry policy, optional classifier) with two verbs,
+//!   [`Run::characterize`] and [`Run::score`], shared by the golden and
+//!   the [`reffree`] (reference-free) modes.
+//! * [`engine`] — the deterministic measurement engine: every
+//!   measurement takes an [`Engine`] that fans pairs,
 //!   repetitions and dies across a worker pool. Results are
 //!   **bit-identical for every worker count** (noise streams derive from
 //!   item indices, never from scheduling), and each
@@ -76,6 +79,7 @@ pub mod netlist_io;
 pub mod reffree;
 pub mod report;
 pub mod resilience;
+pub mod run;
 
 pub use campaign::CampaignPlan;
 pub use design::{CacheStats, Design, ProgrammedDevice};
@@ -83,23 +87,23 @@ pub use engine::Engine;
 pub use error::Error;
 pub use lab::Lab;
 pub use netlist_io::{load_netlist, save_netlist};
+pub use run::{Mode, Run};
 
 /// Convenient re-exports of the whole suite's primary types.
 pub mod prelude {
     pub use crate::channel::{Channel, ChannelSpec, DelayChannel, EmChannel, PowerChannel};
     pub use crate::delay_detect::{DelayDetector, DelayEvidence, GoldenDelayModel};
-    pub use crate::em_detect::{EmDetector, EmGoldenModel, FnRateReport};
+    pub use crate::em_detect::{EmDetector, EmGoldenModel};
     pub use crate::fusion::{
-        masked_feature_rows, ChannelResult, ChannelState, GoldenCharacterization,
+        masked_feature_rows, Baseline, ChannelResult, ChannelState, Characterization,
         MultiChannelReport, MultiChannelRow, ScoredCampaign, ScoredChannel, ScoredDesign,
-        ScoringSession, SpecScore,
+        SpecScore,
     };
-    pub use crate::reffree::{
-        ReferenceFreeCharacterization, ReferenceFreeFit, ReferenceFreeSession, ReferenceFreeState,
-    };
+    pub use crate::reffree::ReferenceFreeFit;
     pub use crate::resilience::{ChannelHealth, RetryPolicy};
-    pub use crate::Engine;
+    pub use crate::run::Session;
     pub use crate::{CampaignPlan, Design, Error, Lab, ProgrammedDevice};
+    pub use crate::{Engine, Mode, Run};
     pub use htd_aes::AesNetlist;
     pub use htd_em::Trace;
     pub use htd_fabric::{Device, DeviceConfig, Technology, VariationModel};

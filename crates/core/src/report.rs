@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use crate::em_detect::FnRateReport;
 use crate::error::Error;
 use crate::fusion::MultiChannelReport;
 
@@ -181,24 +180,6 @@ pub fn write_csv(
     Ok(())
 }
 
-/// Renders a [`FnRateReport`] as the paper's headline table: one row per
-/// trojan with its size and analytic/empirical FN rates.
-pub fn fn_rate_table(report: &FnRateReport) -> Table {
-    let mut t = Table::new(&["HT", "size", "µ", "σ", "FN rate", "FN emp", "FP emp"]);
-    for row in &report.rows {
-        t.push_row(&[
-            row.name.clone(),
-            pct(row.size_fraction),
-            format!("{:.1}", row.mu),
-            format!("{:.1}", row.sigma),
-            pct(row.analytic_fn_rate),
-            pct(row.empirical_fn_rate),
-            pct(row.empirical_fp_rate),
-        ]);
-    }
-    t
-}
-
 /// Renders a [`MultiChannelReport`] with one row per (trojan, channel)
 /// and a trailing `fused` row per trojan when fusion ran.
 pub fn multi_channel_table(report: &MultiChannelReport) -> Table {
@@ -366,33 +347,6 @@ mod tests {
             empirical_fn_rate: 0.25,
             empirical_fp_rate: 0.125,
         }
-    }
-
-    #[test]
-    fn fn_rate_table_reports_every_rate_column() {
-        let report = FnRateReport {
-            rows: vec![crate::em_detect::FnRateRow {
-                name: "HT 1".into(),
-                size_fraction: 0.005,
-                mu: 100.0,
-                sigma: 40.0,
-                analytic_fn_rate: 0.26,
-                empirical_fn_rate: 0.25,
-                empirical_fp_rate: 0.0,
-            }],
-            n_dies: 8,
-        };
-        let t = fn_rate_table(&report);
-        let s = t.to_string();
-        assert_eq!(t.row_count(), 1);
-        assert!(s.contains("HT 1"), "{s}");
-        assert!(s.contains("0.5%"), "size column: {s}");
-        assert!(s.contains("26.0%") && s.contains("25.0%"), "{s}");
-        let widths: Vec<usize> = s.lines().map(|l| l.chars().count()).collect();
-        assert!(
-            widths.windows(2).all(|w| w[0] == w[1]),
-            "misaligned table:\n{s}"
-        );
     }
 
     #[test]

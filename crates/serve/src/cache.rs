@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use htd_core::Error;
 use htd_obs::Obs;
-use htd_store::{fnv1a64, plan_digest, ScorableArtifact};
+use htd_store::{fnv1a64, from_text_at, plan_digest, ScorableArtifact};
 
 /// A parsed golden artifact plus its two identities: the content
 /// digest the caches key by, and the plan digest the wire protocol and
@@ -53,8 +53,8 @@ pub struct CachedGolden {
     /// responses and manifests print it.
     pub digest_hex: String,
     /// The parsed artifact — a stored golden reference or a
-    /// reference-free self-score baseline; the scheduler picks the
-    /// matching scoring session per batch.
+    /// reference-free self-score baseline; both score through one
+    /// session type.
     pub artifact: ScorableArtifact,
     /// Size of the artifact's file text, the unit the LRU budget counts.
     pub bytes: usize,
@@ -127,9 +127,9 @@ impl GoldenCache {
         }
         obs.incr("store.cache.miss");
         let text = std::fs::read_to_string(path).map_err(|e| Error::io(path, e))?;
-        let artifact = ScorableArtifact::from_text_at(&text, &path.display().to_string())?;
+        let artifact: ScorableArtifact = from_text_at(&text, &path.display().to_string())?;
         let content_digest = fnv1a64(text.as_bytes());
-        let digest = plan_digest(artifact.plan());
+        let digest = plan_digest(&artifact.characterization().plan);
         let golden = Arc::new(CachedGolden {
             content_digest,
             digest,
@@ -248,7 +248,7 @@ impl ResultCache {
 mod tests {
     use super::*;
     use htd_core::CampaignPlan;
-    use htd_store::GoldenArtifact;
+    use htd_store::ScorableArtifact;
 
     fn counter(obs: &Obs, name: &str) -> u64 {
         obs.snapshot()
@@ -266,7 +266,7 @@ mod tests {
     fn write_golden_at(dir: &Path, name: &str, seed: u8, level: f64) -> PathBuf {
         use htd_core::channel::{Calibration, ChannelSpec, GoldenReference};
         use htd_core::em_detect::TraceMetric;
-        use htd_core::prelude::{ChannelState, GoldenCharacterization, Trace};
+        use htd_core::prelude::{ChannelState, Characterization, Trace};
         let plan = CampaignPlan::with_random_pairs(4, 2, 2, [seed; 16], [seed ^ 0x5a; 16], 7);
         let state = ChannelState::pristine(
             "EM",
@@ -274,9 +274,9 @@ mod tests {
             GoldenReference::MeanTrace(Trace::new(vec![level; 9], 125.0)),
             (0..plan.n_dies).map(|i| i as f64 * 1.5).collect(),
         );
-        let artifact = GoldenArtifact::new(
+        let artifact = ScorableArtifact::new(
             vec![ChannelSpec::Em(TraceMetric::SumOfLocalMaxima)],
-            GoldenCharacterization {
+            Characterization {
                 plan,
                 states: vec![state],
                 lost: vec![],

@@ -46,7 +46,7 @@
 //! digest of their golden's artifact text (a refinement of the
 //! plan-digest grouping the shard router uses: same-plan goldens with
 //! different channel data never share a session), and scores each
-//! group through one `ScoringSession`, paying device programming and
+//! group through one scoring `Session`, paying device programming and
 //! golden setup once per batch. Every suspect scores at campaign
 //! position 0
 //! through the offline scorer's exact code path, so responses are

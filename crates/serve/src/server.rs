@@ -13,9 +13,9 @@
 //!   takes every queued request, groups them by golden content digest
 //!   (which refines the plan-digest grouping the shard router uses —
 //!   same-plan goldens with different channel data never share a
-//!   session), and scores each group through one [`ScoringSession`] so
-//!   device programming and golden setup are paid once per batch
-//!   instead of once per request.
+//!   session), and scores each group through one
+//!   [`Session`](htd_core::run::Session) so device programming and
+//!   golden setup are paid once per batch instead of once per request.
 //!
 //! Correctness invariant: every suspect is scored at campaign position
 //! 0 through the exact code path of the offline campaign scorer, so a
@@ -44,11 +44,11 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use htd_core::prelude::{Channel, ReferenceFreeSession, RetryPolicy, ScoringSession};
-use htd_core::{Engine, Error, Lab};
+use htd_core::prelude::{Channel, RetryPolicy};
+use htd_core::{Engine, Error, Lab, Run};
 use htd_faults::FaultPlan;
 use htd_obs::{Obs, RunManifest, ToolInfo};
-use htd_store::{ClassifierModel, ScorableArtifact};
+use htd_store::ClassifierModel;
 use htd_trojan::TrojanSpec;
 
 use crate::cache::{GoldenCache, ResultCache};
@@ -535,8 +535,8 @@ fn scheduler_loop(config: &ServeConfig, obs: &Obs, shared: &Shared) -> Result<Se
 }
 
 /// Scores one drained batch: resolve, group by content digest, one
-/// [`ScoringSession`] per group, memoized responses where the result
-/// cache already knows the answer.
+/// [`Session`](htd_core::run::Session) per group, memoized responses
+/// where the result cache already knows the answer.
 #[allow(clippy::too_many_arguments)]
 fn score_batch(
     batch: Vec<Job>,
@@ -615,13 +615,6 @@ fn score_batch(
         groups.entry(key).or_default().push(job);
     }
 
-    // A scoring session over either artifact kind; both score at a
-    // campaign position and render the identical one-row report.
-    enum Session<'a> {
-        Golden(ScoringSession<'a>),
-        RefFree(ReferenceFreeSession<'a>),
-    }
-
     for key in group_order {
         let group = groups.remove(&key).expect("grouped above");
         let (content, model_path) = key;
@@ -655,9 +648,10 @@ fn score_batch(
                 }
             }
         };
-        let memo_key = |suspect: &str| match &model {
+        let model_fnv = model.as_ref().map(|(_, fnv)| *fnv);
+        let memo_key = |suspect: &str| match model_fnv {
             None => suspect.to_string(),
-            Some((_, fnv)) => format!("{suspect}+{fnv:016x}"),
+            Some(fnv) => format!("{suspect}+{fnv:016x}"),
         };
 
         // Serve memoized answers first; only the misses pay for a
@@ -675,25 +669,10 @@ fn score_batch(
 
         let channels = golden.artifact.build_channels();
         let channel_refs: Vec<&dyn Channel> = channels.iter().map(AsRef::as_ref).collect();
-        let built: Result<Session<'_>, Error> = match &golden.artifact {
-            ScorableArtifact::Golden(artifact) => {
-                ScoringSession::new(engine, lab, artifact.characterization(), &channel_refs)
-                    .and_then(|s| match &model {
-                        Some((m, _)) => s.with_model(m),
-                        None => Ok(s),
-                    })
-                    .map(Session::Golden)
-            }
-            ScorableArtifact::ReferenceFree(artifact) => {
-                ReferenceFreeSession::new(engine, lab, artifact.characterization(), &channel_refs)
-                    .and_then(|s| match &model {
-                        Some((m, _)) => s.with_model(m),
-                        None => Ok(s),
-                    })
-                    .map(Session::RefFree)
-            }
-        };
-        let session = match built {
+        let run = Run::new(engine.clone())
+            .with_faults(config.faults.clone(), config.policy)
+            .with_model(model.map(|(m, _)| m));
+        let session = match run.session(lab, golden.artifact.characterization(), &channel_refs) {
             Ok(session) => session,
             Err(err) => {
                 let reason = err.to_string();
@@ -707,14 +686,9 @@ fn score_batch(
             let _span = obs.span_tagged("serve.request", &[("request", &job.request)]);
             // Position 0 pins the seed stream and fault tag to the
             // offline single-suspect path: bit-identity by construction.
-            let outcome = match &session {
-                Session::Golden(s) => s
-                    .score_spec_at(0, &job.spec, &config.faults, &config.policy)
-                    .map(|score| htd_store::to_text(&s.single_report(&score, &config.faults))),
-                Session::RefFree(s) => s
-                    .score_spec_at(0, &job.spec, &config.faults, &config.policy)
-                    .map(|score| htd_store::to_text(&s.single_report(&score, &config.faults))),
-            };
+            let outcome = session
+                .score_spec_at(0, &job.spec)
+                .map(|score| htd_store::to_text(&session.single_report(&score)));
             match outcome {
                 Ok(text) => {
                     results.put(content, &memo_key(&job.suspect), text.clone());

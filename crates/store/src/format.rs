@@ -60,8 +60,9 @@ pub fn frame(kind: &str, body: &str) -> String {
 /// # Errors
 ///
 /// [`Error::Format`] on any framing violation: missing trailer,
-/// checksum mismatch, unsupported version, or wrong artifact kind.
-pub fn unframe<'a>(text: &'a str, origin: &'a str, kind: &str) -> Result<Parser<'a>, Error> {
+/// checksum mismatch, unsupported version, or an artifact kind outside
+/// `kinds`.
+pub fn unframe<'a>(text: &'a str, origin: &'a str, kinds: &[&str]) -> Result<Parser<'a>, Error> {
     if !text.ends_with('\n') {
         return Err(Error::format(
             origin,
@@ -107,16 +108,18 @@ pub fn unframe<'a>(text: &'a str, origin: &'a str, kind: &str) -> Result<Parser<
     let Some((&header, body_lines)) = body_lines.split_first() else {
         return Err(Error::format(origin, 0, "artifact has no header line"));
     };
-    check_header(header, origin, kind)?;
+    let kind = check_header(header, origin, kinds)?;
     Ok(Parser {
         origin,
+        kind,
         lines: body_lines.to_vec(),
         pos: 0,
     })
 }
 
-/// Validates a `htdstore <version> <kind>` header line.
-fn check_header(header: &str, origin: &str, kind: &str) -> Result<(), Error> {
+/// Validates a `htdstore <version> <kind>` header line whose kind is one
+/// of `kinds`, returning the kind.
+fn check_header<'a>(header: &'a str, origin: &str, kinds: &[&str]) -> Result<&'a str, Error> {
     let mut words = header.split(' ');
     if words.next() != Some(MAGIC) {
         return Err(Error::format(origin, 1, format!("missing `{MAGIC}` magic")));
@@ -142,14 +145,17 @@ fn check_header(header: &str, origin: &str, kind: &str) -> Result<(), Error> {
             "trailing tokens after artifact kind",
         ));
     }
-    if actual_kind != kind {
+    if !kinds.contains(&actual_kind) {
         return Err(Error::format(
             origin,
             1,
-            format!("artifact is `{actual_kind}`, expected `{kind}`"),
+            format!(
+                "artifact is `{actual_kind}`, expected `{}`",
+                kinds.join("` or `")
+            ),
         ));
     }
-    Ok(())
+    Ok(actual_kind)
 }
 
 /// Parses a trailer line's declared checksum, if the line is a
@@ -188,7 +194,7 @@ pub struct SalvageFrame<'a> {
 pub fn unframe_salvage<'a>(
     text: &'a str,
     origin: &'a str,
-    kind: &str,
+    kinds: &[&str],
 ) -> Result<SalvageFrame<'a>, Error> {
     // A missing trailing newline means the last line was cut mid-write;
     // drop the partial fragment and salvage the complete lines.
@@ -199,7 +205,7 @@ pub fn unframe_salvage<'a>(
     };
     let mut lines: Vec<&str> = complete.split('\n').collect();
     let header = lines.remove(0);
-    check_header(header, origin, kind)?;
+    let kind = check_header(header, origin, kinds)?;
     let declared = match lines.last().copied().and_then(trailer_checksum) {
         Some(sum) => {
             lines.pop();
@@ -211,6 +217,7 @@ pub fn unframe_salvage<'a>(
         header,
         parser: Parser {
             origin,
+            kind,
             lines,
             pos: 0,
         },
@@ -223,11 +230,17 @@ pub fn unframe_salvage<'a>(
 #[derive(Debug)]
 pub struct Parser<'a> {
     origin: &'a str,
+    kind: &'a str,
     lines: Vec<&'a str>,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// The artifact kind declared on the header line.
+    pub fn kind(&self) -> &'a str {
+        self.kind
+    }
+
     /// The 1-based file line number of the *next* line to be consumed
     /// (or of the end of the body once exhausted).
     pub fn lineno(&self) -> usize {
@@ -477,19 +490,19 @@ mod tests {
     #[test]
     fn framing_detects_tampering() {
         let text = frame("plan", "dies 6\n");
-        assert!(unframe(&text, IN_MEMORY, "plan").is_ok());
+        assert!(unframe(&text, IN_MEMORY, &["plan"]).is_ok());
         // Wrong kind.
-        assert!(unframe(&text, IN_MEMORY, "report").is_err());
+        assert!(unframe(&text, IN_MEMORY, &["report"]).is_err());
         // Flipped body byte.
         let tampered = text.replace("dies 6", "dies 7");
         assert!(matches!(
-            unframe(&tampered, IN_MEMORY, "plan"),
+            unframe(&tampered, IN_MEMORY, &["plan"]),
             Err(Error::Format { .. })
         ));
         // Unsupported version.
         let v2 = frame("plan", "dies 6\n").replace("htdstore 1", "htdstore 2");
-        assert!(unframe(&v2, IN_MEMORY, "plan").is_err());
+        assert!(unframe(&v2, IN_MEMORY, &["plan"]).is_err());
         // Missing trailer.
-        assert!(unframe("htdstore 1 plan\n", IN_MEMORY, "plan").is_err());
+        assert!(unframe("htdstore 1 plan\n", IN_MEMORY, &["plan"]).is_err());
     }
 }

@@ -6,12 +6,13 @@
 use htd_core::campaign::CampaignPlan;
 use htd_core::channel::{Acquisition, Calibration, Channel, ChannelSpec, GoldenReference};
 use htd_core::fusion::{
-    ChannelResult, ChannelState, GoldenCharacterization, MultiChannelReport, MultiChannelRow,
+    Baseline, ChannelResult, ChannelState, Characterization, MultiChannelReport, MultiChannelRow,
     ScoredChannel,
 };
-use htd_core::reffree::{ReferenceFreeCharacterization, ReferenceFreeFit, ReferenceFreeState};
+use htd_core::reffree::ReferenceFreeFit;
 use htd_core::resilience::ChannelHealth;
 use htd_core::Error;
+use htd_core::Mode;
 use htd_faults::FaultPlan;
 use htd_stats::logistic::LogisticModel;
 use htd_stats::Gaussian;
@@ -32,6 +33,16 @@ use crate::format::{
 pub trait Artifact: Sized {
     /// The kind token written into the artifact header.
     const KIND: &'static str;
+
+    /// Every header kind this type parses; `parse_body` tells them apart
+    /// by the header kind its parser carries.
+    const KINDS: &'static [&'static str] = &[Self::KIND];
+
+    /// The kind token this value writes; [`Artifact::KIND`] unless the
+    /// type spans several kinds.
+    fn kind(&self) -> &'static str {
+        Self::KIND
+    }
 
     /// Appends this value's body lines.
     fn write_body(&self, w: &mut BodyWriter);
@@ -327,68 +338,86 @@ impl Artifact for MultiChannelReport {
     }
 }
 
-/// The composite golden artifact: the channel construction recipes plus
-/// the full [`GoldenCharacterization`]. Loading one is everything `htd
-/// score` needs — no re-measurement, no out-of-band channel knowledge.
+/// The composite characterization artifact: the channel construction
+/// recipes plus the full [`Characterization`]. Loading one is everything
+/// `htd score` needs — no re-measurement, no out-of-band channel
+/// knowledge. A golden characterization is stored as kind `golden` (per
+/// channel: calibration, reference payload, golden scores); a
+/// reference-free one as kind `reffree` (per channel: calibration,
+/// baseline fit, self-scores — no reference payload exists).
 #[derive(Debug, Clone, PartialEq)]
-pub struct GoldenArtifact {
+pub struct ScorableArtifact {
     specs: Vec<ChannelSpec>,
-    charac: GoldenCharacterization,
+    charac: Characterization,
 }
 
-impl GoldenArtifact {
+impl ScorableArtifact {
     /// Binds channel specs to a characterization they produced.
     ///
     /// # Errors
     ///
-    /// [`Error::ChannelShapeMismatch`] when the spec list does not match
-    /// the characterization's channel states (count or name order), when
-    /// a state's golden-score count differs from its kept-die count,
-    /// when the kept dies are not a strictly ascending subset of the
-    /// plan's dies (at least two of them), or when a surviving state is
-    /// marked lost.
-    pub fn new(specs: Vec<ChannelSpec>, charac: GoldenCharacterization) -> Result<Self, Error> {
+    /// [`Error::ChannelShapeMismatch`] when there are no states, when the
+    /// states mix golden and reference-free baselines, when the spec list
+    /// does not match the states (count or name order), when a state's
+    /// score count differs from its kept-die count (or a reference-free
+    /// fit's die count), when the kept dies are not a strictly ascending
+    /// subset of the plan's dies (at least two of them), when a
+    /// reference-free fit's spread is not positive, or when a surviving
+    /// state is marked lost.
+    pub fn new(specs: Vec<ChannelSpec>, charac: Characterization) -> Result<Self, Error> {
         if specs.len() != charac.states.len() {
             return Err(Error::ChannelShapeMismatch {
                 channel: format!("{} spec(s)", specs.len()),
                 expected: "one spec per characterized channel",
             });
         }
+        if charac.states.is_empty() {
+            return Err(Error::ChannelShapeMismatch {
+                channel: "0 spec(s)".to_string(),
+                expected: "at least one characterized channel",
+            });
+        }
+        let mode = charac.mode();
         for (spec, state) in specs.iter().zip(&charac.states) {
+            let mismatch = |expected| Error::ChannelShapeMismatch {
+                channel: state.channel.clone(),
+                expected,
+            };
             if spec.name() != state.channel {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "spec order matching channel execution order",
-                });
+                return Err(mismatch("spec order matching channel execution order"));
             }
-            if state.kept.len() != state.scores.len() {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "one golden score per kept die",
-                });
+            if state.baseline.mode() != mode {
+                return Err(mismatch("every channel state in one mode"));
+            }
+            match &state.baseline {
+                Baseline::Golden { scores, .. } if state.kept.len() != scores.len() => {
+                    return Err(mismatch("one golden score per kept die"));
+                }
+                Baseline::ReferenceFree { self_scores, fit } => {
+                    if state.kept.len() != self_scores.len() || fit.n_dies != self_scores.len() {
+                        return Err(mismatch("one self-score per kept die, matching the fit"));
+                    }
+                    if !(fit.std > 0.0 && fit.std.is_finite() && fit.mean.is_finite()) {
+                        return Err(mismatch("a finite baseline fit with positive spread"));
+                    }
+                }
+                Baseline::Golden { .. } => {}
             }
             if state.kept.len() < 2 {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "at least two kept dies",
-                });
+                return Err(mismatch("at least two kept dies"));
             }
             let ascending = state.kept.windows(2).all(|w| w[0] < w[1]);
             let in_plan = state.kept.last().is_none_or(|&k| k < charac.plan.n_dies);
             if !ascending || !in_plan {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "kept dies strictly ascending within the plan",
-                });
+                return Err(mismatch("kept dies strictly ascending within the plan"));
             }
             if state.health.lost {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "surviving states only (lost channels go in `lost`)",
-                });
+                return Err(mismatch(
+                    "surviving states only (lost channels go in `lost`)",
+                ));
             }
         }
-        Ok(GoldenArtifact { specs, charac })
+        Ok(ScorableArtifact { specs, charac })
     }
 
     /// The channel construction recipes, in execution order.
@@ -397,12 +426,12 @@ impl GoldenArtifact {
     }
 
     /// The stored characterization.
-    pub fn characterization(&self) -> &GoldenCharacterization {
+    pub fn characterization(&self) -> &Characterization {
         &self.charac
     }
 
     /// Consumes the artifact into its characterization.
-    pub fn into_characterization(self) -> GoldenCharacterization {
+    pub fn into_characterization(self) -> Characterization {
         self.charac
     }
 
@@ -412,8 +441,21 @@ impl GoldenArtifact {
     }
 }
 
-impl Artifact for GoldenArtifact {
+/// The store kind of a characterization mode.
+fn mode_kind(mode: Mode) -> &'static str {
+    match mode {
+        Mode::Golden => "golden",
+        Mode::ReferenceFree => "reffree",
+    }
+}
+
+impl Artifact for ScorableArtifact {
     const KIND: &'static str = "golden";
+    const KINDS: &'static [&'static str] = &["golden", "reffree"];
+
+    fn kind(&self) -> &'static str {
+        mode_kind(self.charac.mode())
+    }
 
     fn write_body(&self, w: &mut BodyWriter) {
         write_plan(w, &self.charac.plan);
@@ -421,18 +463,29 @@ impl Artifact for GoldenArtifact {
         for (spec, state) in self.specs.iter().zip(&self.charac.states) {
             w.line(format!("channel {}", spec.token()));
             write_calibration(w, &state.calibration);
-            write_payload(w, &state.reference.clone().into());
-            write_f64_list(w, "scores", &state.scores);
+            match &state.baseline {
+                Baseline::Golden { reference, .. } => {
+                    write_payload(w, &reference.clone().into());
+                }
+                Baseline::ReferenceFree { fit, .. } => w.line(format!(
+                    "reffree-fit {} {} {}",
+                    fmt_f64(fit.mean),
+                    fmt_f64(fit.std),
+                    fit.n_dies,
+                )),
+            }
+            let scores = state.baseline.scores();
+            write_f64_list(w, "scores", scores);
             // Degradation markers are only written when present, keeping
             // pristine artifacts on their historical byte layout.
-            if state.kept.iter().copied().ne(0..state.scores.len()) {
+            if state.kept.iter().copied().ne(0..scores.len()) {
                 let mut line = format!("kept {}", state.kept.len());
                 for &k in &state.kept {
                     line.push_str(&format!(" {k}"));
                 }
                 w.line(line);
             }
-            if !state.health.is_pristine(state.scores.len()) {
+            if !state.health.is_pristine(scores.len()) {
                 write_health(w, &state.health);
             }
         }
@@ -449,7 +502,8 @@ impl Artifact for GoldenArtifact {
         let n_channels = parse_usize(p.keyword_line("channels")?.trim()).map_err(|e| p.error(e))?;
         if n_channels > p.remaining() {
             return Err(p.error(format!(
-                "golden artifact declares {n_channels} channels but only {} lines remain",
+                "{} artifact declares {n_channels} channels but only {} lines remain",
+                artifact_label(p),
                 p.remaining()
             )));
         }
@@ -461,13 +515,14 @@ impl Artifact for GoldenArtifact {
             specs.push(spec);
         }
         let lost = parse_lost_section(p)?;
-        GoldenArtifact::new(specs, GoldenCharacterization { plan, states, lost })
-            .map_err(|e| p.error(format!("inconsistent golden artifact: {e}")))
+        ScorableArtifact::new(specs, Characterization { plan, states, lost })
+            .map_err(|e| p.error(format!("inconsistent {} artifact: {e}", artifact_label(p))))
     }
 
-    /// Golden bodies are block-structured (one block per channel), so a
-    /// corrupt line costs only its own block: the reader rewinds to the
-    /// block boundary, drops it, and resyncs at the next `channel ` line.
+    /// Characterization bodies are block-structured (one block per
+    /// channel), so a corrupt line costs only its own block: the reader
+    /// rewinds to the block boundary, drops it, and resyncs at the next
+    /// `channel ` line.
     fn parse_body_salvage(p: &mut Parser<'_>) -> Result<(Self, Vec<usize>), Error> {
         let mut dropped = Vec::new();
         let plan = parse_plan(p)?;
@@ -509,23 +564,41 @@ impl Artifact for GoldenArtifact {
         if states.is_empty() {
             return Err(p.error("no channel block survived salvage"));
         }
-        let artifact = GoldenArtifact::new(specs, GoldenCharacterization { plan, states, lost })
-            .map_err(|e| p.error(format!("inconsistent golden artifact: {e}")))?;
+        let artifact = ScorableArtifact::new(specs, Characterization { plan, states, lost })
+            .map_err(|e| p.error(format!("inconsistent {} artifact: {e}", artifact_label(p))))?;
         Ok((artifact, dropped))
     }
 }
 
-/// Parses one golden channel block: the spec token, calibration,
-/// reference payload, scores, and the optional degradation markers
-/// (`kept`, `channel-health`) whose absence reconstructs a pristine
-/// state exactly.
+/// How error messages name the artifact being parsed.
+fn artifact_label(p: &Parser<'_>) -> &'static str {
+    if p.kind() == "reffree" {
+        "reference-free"
+    } else {
+        "golden"
+    }
+}
+
+/// Parses one channel block of a `golden` or `reffree` body: the spec
+/// token, calibration, the baseline (a reference payload, or a
+/// `reffree-fit` line), scores, and the optional degradation markers
+/// (`kept`, `channel-health`) whose absence reconstructs a pristine state
+/// exactly.
 fn parse_channel_block(p: &mut Parser<'_>) -> Result<(ChannelSpec, ChannelState), Error> {
     let token = p.keyword_line("channel")?;
     let spec = ChannelSpec::from_token(token)
         .ok_or_else(|| p.error(format!("unknown channel spec `{token}`")))?;
     let calibration = parse_calibration(p)?;
-    let reference = parse_payload(p)?.into_reference();
-    let scores = parse_f64_list(p, "scores")?;
+    let baseline = if p.kind() == "reffree" {
+        let fit = parse_reffree_fit(p)?;
+        let self_scores = parse_f64_list(p, "scores")?;
+        Baseline::ReferenceFree { self_scores, fit }
+    } else {
+        let reference = parse_payload(p)?.into_reference();
+        let scores = parse_f64_list(p, "scores")?;
+        Baseline::Golden { reference, scores }
+    };
+    let n_scores = baseline.scores().len();
     let kept = if p.peek().is_some_and(|l| l.starts_with("kept ")) {
         let rest = p.keyword_line("kept")?;
         let mut words = rest.split_whitespace();
@@ -540,22 +613,39 @@ fn parse_channel_block(p: &mut Parser<'_>) -> Result<(ChannelSpec, ChannelState)
         }
         kept
     } else {
-        (0..scores.len()).collect()
+        (0..n_scores).collect()
     };
     let health = if p.peek().is_some_and(|l| l.starts_with("channel-health ")) {
         parse_health(p)?
     } else {
-        ChannelHealth::pristine(spec.name(), scores.len())
+        ChannelHealth::pristine(spec.name(), n_scores)
     };
     let state = ChannelState {
         channel: spec.name().to_string(),
         calibration,
-        reference,
-        scores,
+        baseline,
         kept,
         health,
     };
     Ok((spec, state))
+}
+
+/// Parses a `reffree-fit <mean> <std> <dies>` line.
+fn parse_reffree_fit(p: &mut Parser<'_>) -> Result<ReferenceFreeFit, Error> {
+    let rest = p.keyword_line("reffree-fit")?;
+    let mut words = rest.split_whitespace();
+    let mut next = || {
+        words
+            .next()
+            .ok_or_else(|| p.error("reffree-fit needs mean, std and die count"))
+    };
+    let mean = parse_f64(next()?).map_err(|e| p.error(e))?;
+    let std = parse_f64(next()?).map_err(|e| p.error(e))?;
+    let n_dies = parse_usize(next()?).map_err(|e| p.error(e))?;
+    if words.next().is_some() {
+        return Err(p.error("trailing tokens after reffree-fit"));
+    }
+    Ok(ReferenceFreeFit { mean, std, n_dies })
 }
 
 /// Parses the optional trailing `lost` section of a golden body.
@@ -818,275 +908,6 @@ fn parse_classifier_trailer(p: &mut Parser<'_>, model: &mut LogisticModel) -> Re
         )));
     }
     Ok(())
-}
-
-/// The composite reference-free artifact: the channel recipes plus the
-/// full [`ReferenceFreeCharacterization`]. Loading one is everything
-/// `htd score` needs to score a suspect lot without any golden
-/// reference — per channel only the calibration, the baseline
-/// self-scores and their fit travel; no reference payload exists.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReferenceFreeArtifact {
-    specs: Vec<ChannelSpec>,
-    charac: ReferenceFreeCharacterization,
-}
-
-impl ReferenceFreeArtifact {
-    /// Binds channel specs to a reference-free characterization they
-    /// produced.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ChannelShapeMismatch`] when the spec list does not match
-    /// the characterization's states (count or name order), when a
-    /// state's self-score count differs from its kept-die count or its
-    /// fit's die count, when the kept dies are not a strictly ascending
-    /// subset of the plan's dies (at least two of them), when a fit's
-    /// spread is not positive, or when a surviving state is marked lost.
-    pub fn new(
-        specs: Vec<ChannelSpec>,
-        charac: ReferenceFreeCharacterization,
-    ) -> Result<Self, Error> {
-        if specs.len() != charac.states.len() {
-            return Err(Error::ChannelShapeMismatch {
-                channel: format!("{} spec(s)", specs.len()),
-                expected: "one spec per characterized channel",
-            });
-        }
-        for (spec, state) in specs.iter().zip(&charac.states) {
-            if spec.name() != state.channel {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "spec order matching channel execution order",
-                });
-            }
-            if state.kept.len() != state.self_scores.len()
-                || state.fit.n_dies != state.self_scores.len()
-            {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "one self-score per kept die, matching the fit",
-                });
-            }
-            if state.kept.len() < 2 {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "at least two kept dies",
-                });
-            }
-            let ascending = state.kept.windows(2).all(|w| w[0] < w[1]);
-            let in_plan = state.kept.last().is_none_or(|&k| k < charac.plan.n_dies);
-            if !ascending || !in_plan {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "kept dies strictly ascending within the plan",
-                });
-            }
-            if !(state.fit.std > 0.0 && state.fit.std.is_finite() && state.fit.mean.is_finite()) {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "a finite baseline fit with positive spread",
-                });
-            }
-            if state.health.lost {
-                return Err(Error::ChannelShapeMismatch {
-                    channel: state.channel.clone(),
-                    expected: "surviving states only (lost channels go in `lost`)",
-                });
-            }
-        }
-        Ok(ReferenceFreeArtifact { specs, charac })
-    }
-
-    /// The channel construction recipes, in execution order.
-    pub fn specs(&self) -> &[ChannelSpec] {
-        &self.specs
-    }
-
-    /// The stored characterization.
-    pub fn characterization(&self) -> &ReferenceFreeCharacterization {
-        &self.charac
-    }
-
-    /// Consumes the artifact into its characterization.
-    pub fn into_characterization(self) -> ReferenceFreeCharacterization {
-        self.charac
-    }
-
-    /// Rebuilds the live channels the stored specs describe, in order.
-    pub fn build_channels(&self) -> Vec<Box<dyn Channel>> {
-        self.specs.iter().map(ChannelSpec::build).collect()
-    }
-}
-
-impl Artifact for ReferenceFreeArtifact {
-    const KIND: &'static str = "reffree";
-
-    fn write_body(&self, w: &mut BodyWriter) {
-        write_plan(w, &self.charac.plan);
-        w.line(format!("channels {}", self.specs.len()));
-        for (spec, state) in self.specs.iter().zip(&self.charac.states) {
-            w.line(format!("channel {}", spec.token()));
-            write_calibration(w, &state.calibration);
-            w.line(format!(
-                "reffree-fit {} {} {}",
-                fmt_f64(state.fit.mean),
-                fmt_f64(state.fit.std),
-                state.fit.n_dies,
-            ));
-            write_f64_list(w, "scores", &state.self_scores);
-            if state.kept.iter().copied().ne(0..state.self_scores.len()) {
-                let mut line = format!("kept {}", state.kept.len());
-                for &k in &state.kept {
-                    line.push_str(&format!(" {k}"));
-                }
-                w.line(line);
-            }
-            if !state.health.is_pristine(state.self_scores.len()) {
-                write_health(w, &state.health);
-            }
-        }
-        if !self.charac.lost.is_empty() {
-            w.line(format!("lost {}", self.charac.lost.len()));
-            for h in &self.charac.lost {
-                write_health(w, h);
-            }
-        }
-    }
-
-    fn parse_body(p: &mut Parser<'_>) -> Result<Self, Error> {
-        let plan = parse_plan(p)?;
-        let n_channels = parse_usize(p.keyword_line("channels")?.trim()).map_err(|e| p.error(e))?;
-        if n_channels > p.remaining() {
-            return Err(p.error(format!(
-                "reference-free artifact declares {n_channels} channels but only {} lines remain",
-                p.remaining()
-            )));
-        }
-        let mut specs = Vec::with_capacity(n_channels);
-        let mut states = Vec::with_capacity(n_channels);
-        for _ in 0..n_channels {
-            let (spec, state) = parse_reffree_block(p)?;
-            states.push(state);
-            specs.push(spec);
-        }
-        let lost = parse_lost_section(p)?;
-        ReferenceFreeArtifact::new(specs, ReferenceFreeCharacterization { plan, states, lost })
-            .map_err(|e| p.error(format!("inconsistent reference-free artifact: {e}")))
-    }
-
-    /// Reference-free bodies share the golden artifact's block structure
-    /// (one block per channel), so salvage drops a corrupt block and
-    /// resyncs at the next `channel ` line.
-    fn parse_body_salvage(p: &mut Parser<'_>) -> Result<(Self, Vec<usize>), Error> {
-        let mut dropped = Vec::new();
-        let plan = parse_plan(p)?;
-        let n_channels = parse_usize(p.keyword_line("channels")?.trim()).map_err(|e| p.error(e))?;
-        let mut specs = Vec::new();
-        let mut states = Vec::new();
-        while specs.len() < n_channels {
-            match p.peek() {
-                None => break,
-                Some(l) if l.starts_with("lost ") => break,
-                Some(_) => {}
-            }
-            let mark = p.save();
-            match parse_reffree_block(p) {
-                Ok((spec, state)) => {
-                    specs.push(spec);
-                    states.push(state);
-                }
-                Err(_) => {
-                    p.restore(mark);
-                    dropped.push(p.save());
-                    let _ = p.next_line();
-                    dropped.extend(p.skip_to_prefix("channel "));
-                }
-            }
-        }
-        let mark = p.save();
-        let lost = match parse_lost_section(p) {
-            Ok(lost) => lost,
-            Err(_) => {
-                p.restore(mark);
-                while p.peek().is_some() {
-                    dropped.push(p.save());
-                    let _ = p.next_line();
-                }
-                Vec::new()
-            }
-        };
-        if states.is_empty() {
-            return Err(p.error("no channel block survived salvage"));
-        }
-        let artifact =
-            ReferenceFreeArtifact::new(specs, ReferenceFreeCharacterization { plan, states, lost })
-                .map_err(|e| p.error(format!("inconsistent reference-free artifact: {e}")))?;
-        Ok((artifact, dropped))
-    }
-}
-
-/// Parses one reference-free channel block: the spec token, calibration,
-/// baseline fit, self-scores, and the optional degradation markers.
-fn parse_reffree_block(p: &mut Parser<'_>) -> Result<(ChannelSpec, ReferenceFreeState), Error> {
-    let token = p.keyword_line("channel")?;
-    let spec = ChannelSpec::from_token(token)
-        .ok_or_else(|| p.error(format!("unknown channel spec `{token}`")))?;
-    let calibration = parse_calibration(p)?;
-    let rest = p.keyword_line("reffree-fit")?;
-    let mut words = rest.split_whitespace();
-    let mean = parse_f64(
-        words
-            .next()
-            .ok_or_else(|| p.error("reffree-fit needs mean, std and die count"))?,
-    )
-    .map_err(|e| p.error(e))?;
-    let std = parse_f64(
-        words
-            .next()
-            .ok_or_else(|| p.error("reffree-fit needs mean, std and die count"))?,
-    )
-    .map_err(|e| p.error(e))?;
-    let n_dies = parse_usize(
-        words
-            .next()
-            .ok_or_else(|| p.error("reffree-fit needs mean, std and die count"))?,
-    )
-    .map_err(|e| p.error(e))?;
-    if words.next().is_some() {
-        return Err(p.error("trailing tokens after reffree-fit"));
-    }
-    let self_scores = parse_f64_list(p, "scores")?;
-    let kept = if p.peek().is_some_and(|l| l.starts_with("kept ")) {
-        let rest = p.keyword_line("kept")?;
-        let mut words = rest.split_whitespace();
-        let n = parse_usize(words.next().ok_or_else(|| p.error("kept needs a count"))?)
-            .map_err(|e| p.error(e))?;
-        let kept: Vec<usize> = words
-            .map(parse_usize)
-            .collect::<Result<_, _>>()
-            .map_err(|e| p.error(e))?;
-        if kept.len() != n {
-            return Err(p.error(format!("kept declares {n} dies but lists {}", kept.len())));
-        }
-        kept
-    } else {
-        (0..self_scores.len()).collect()
-    };
-    let health = if p.peek().is_some_and(|l| l.starts_with("channel-health ")) {
-        parse_health(p)?
-    } else {
-        ChannelHealth::pristine(spec.name(), self_scores.len())
-    };
-    let state = ReferenceFreeState {
-        channel: spec.name().to_string(),
-        calibration,
-        self_scores,
-        fit: ReferenceFreeFit { mean, std, n_dies },
-        kept,
-        health,
-    };
-    Ok((spec, state))
 }
 
 /// Parses a `channel "<label>"` line.

@@ -41,14 +41,13 @@ mod kinds;
 
 pub use checksum::fnv1a64;
 pub use format::{quote, unquote, FORMAT_VERSION, IN_MEMORY, MAGIC};
-pub use kinds::{Artifact, ChannelFit, GoldenArtifact, ReferenceFreeArtifact};
+pub use kinds::{Artifact, ChannelFit, ScorableArtifact};
 
 /// The `classifier` artifact: a trained logistic-regression model,
 /// re-exported under its store-facing name so consumers (CLI, serve) can
 /// speak about it without depending on `htd-stats` directly.
 pub use htd_stats::logistic::LogisticModel as ClassifierModel;
 
-use htd_core::channel::Channel;
 use htd_core::{CampaignPlan, Error};
 
 use format::{frame, unframe, BodyWriter};
@@ -63,53 +62,6 @@ pub fn sniff_kind(text: &str) -> Option<&str> {
     (words.next() == Some(MAGIC))
         .then(|| words.nth(1))
         .flatten()
-}
-
-/// Either artifact kind `htd score` / `htd serve` can score a suspect
-/// against: the golden characterization or its reference-free
-/// counterpart. Dispatch is by the header's kind token, so one loader
-/// serves both modes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ScorableArtifact {
-    /// A `golden` artifact (golden-reference mode).
-    Golden(GoldenArtifact),
-    /// A `reffree` artifact (reference-free mode).
-    ReferenceFree(ReferenceFreeArtifact),
-}
-
-impl ScorableArtifact {
-    /// Parses whichever scorable kind `text` declares, labelling errors
-    /// with `origin`. Unknown kinds fall through to the golden parser so
-    /// its kind mismatch carries the diagnostic.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Format`] on any framing, checksum, grammar or value
-    /// violation of the declared kind.
-    pub fn from_text_at(text: &str, origin: &str) -> Result<Self, Error> {
-        match sniff_kind(text) {
-            Some(ReferenceFreeArtifact::KIND) => {
-                Ok(ScorableArtifact::ReferenceFree(from_text_at(text, origin)?))
-            }
-            _ => Ok(ScorableArtifact::Golden(from_text_at(text, origin)?)),
-        }
-    }
-
-    /// The campaign plan behind either kind.
-    pub fn plan(&self) -> &CampaignPlan {
-        match self {
-            ScorableArtifact::Golden(a) => &a.characterization().plan,
-            ScorableArtifact::ReferenceFree(a) => &a.characterization().plan,
-        }
-    }
-
-    /// Rebuilds the live channels the stored specs describe, in order.
-    pub fn build_channels(&self) -> Vec<Box<dyn Channel>> {
-        match self {
-            ScorableArtifact::Golden(a) => a.build_channels(),
-            ScorableArtifact::ReferenceFree(a) => a.build_channels(),
-        }
-    }
 }
 
 /// FNV-1a digest of a campaign plan's store text: the canonical identity
@@ -131,7 +83,7 @@ pub fn plan_digest_hex(plan: &CampaignPlan) -> String {
 pub fn to_text<A: Artifact>(artifact: &A) -> String {
     let mut w = BodyWriter::new();
     artifact.write_body(&mut w);
-    frame(A::KIND, &w.finish())
+    frame(artifact.kind(), &w.finish())
 }
 
 /// Parses an artifact from framed text produced by [`to_text`], labelling
@@ -152,7 +104,7 @@ pub fn from_text<A: Artifact>(text: &str) -> Result<A, Error> {
 /// [`Error::Format`] on any framing, checksum, version, kind, grammar or
 /// value violation.
 pub fn from_text_at<A: Artifact>(text: &str, origin: &str) -> Result<A, Error> {
-    let mut p = unframe(text, origin, A::KIND)?;
+    let mut p = unframe(text, origin, A::KINDS)?;
     let artifact = A::parse_body(&mut p)?;
     p.finish()?;
     Ok(artifact)
@@ -253,7 +205,7 @@ pub fn from_text_salvage<A: Artifact>(text: &str) -> Result<Salvaged<A>, Error> 
 /// [`Error::Format`] when the header is damaged or not even a partial
 /// value survives.
 pub fn from_text_salvage_at<A: Artifact>(text: &str, origin: &str) -> Result<Salvaged<A>, Error> {
-    let mut fr = format::unframe_salvage(text, origin, A::KIND)?;
+    let mut fr = format::unframe_salvage(text, origin, A::KINDS)?;
     let (artifact, mut dropped) = A::parse_body_salvage(&mut fr.parser)?;
     // Whatever the kind's parser left unconsumed did not make it into
     // the value: it counts as dropped, and poisons the checksum below.
@@ -334,7 +286,7 @@ mod tests {
     use htd_core::delay_detect::DelayMatrix;
     use htd_core::em_detect::TraceMetric;
     use htd_core::fusion::{
-        ChannelResult, ChannelState, GoldenCharacterization, MultiChannelReport, MultiChannelRow,
+        ChannelResult, ChannelState, Characterization, MultiChannelReport, MultiChannelRow,
         ScoredChannel,
     };
     use htd_core::resilience::ChannelHealth;
@@ -468,7 +420,7 @@ mod tests {
     #[test]
     fn golden_artifact_roundtrips_and_rebuilds_channels() {
         let plan = sample_plan();
-        let charac = GoldenCharacterization {
+        let charac = Characterization {
             plan: plan.clone(),
             states: vec![
                 ChannelState::pristine(
@@ -488,7 +440,7 @@ mod tests {
             ],
             lost: vec![],
         };
-        let artifact = GoldenArtifact::new(
+        let artifact = ScorableArtifact::new(
             vec![
                 ChannelSpec::Em(TraceMetric::SumOfLocalMaxima),
                 ChannelSpec::Delay,
@@ -512,15 +464,15 @@ mod tests {
             GoldenReference::MeanTrace(Trace::new(vec![0.0; 4], 125.0)),
             vec![0.0; plan.n_dies],
         );
-        let charac = GoldenCharacterization {
+        let charac = Characterization {
             plan: plan.clone(),
             states: vec![state.clone()],
             lost: vec![],
         };
         // Wrong channel name for the spec.
-        assert!(GoldenArtifact::new(vec![ChannelSpec::Delay], charac.clone()).is_err());
+        assert!(ScorableArtifact::new(vec![ChannelSpec::Delay], charac.clone()).is_err());
         // Wrong spec count.
-        assert!(GoldenArtifact::new(
+        assert!(ScorableArtifact::new(
             vec![
                 ChannelSpec::Em(TraceMetric::SumOfLocalMaxima),
                 ChannelSpec::Delay
@@ -529,16 +481,19 @@ mod tests {
         )
         .is_err());
         // Score count disagreeing with the kept-die count.
-        let short = GoldenCharacterization {
+        let short = Characterization {
             plan,
             states: vec![ChannelState {
-                scores: vec![0.0; 2],
+                baseline: htd_core::fusion::Baseline::Golden {
+                    reference: GoldenReference::MeanTrace(Trace::new(vec![0.0; 4], 125.0)),
+                    scores: vec![0.0; 2],
+                },
                 ..state
             }],
             lost: vec![],
         };
         assert!(
-            GoldenArtifact::new(vec![ChannelSpec::Em(TraceMetric::SumOfLocalMaxima)], short)
+            ScorableArtifact::new(vec![ChannelSpec::Em(TraceMetric::SumOfLocalMaxima)], short)
                 .is_err()
         );
     }

@@ -1,5 +1,5 @@
-//! Corruption, truncation and salvage tests for the two scoring-mode
-//! artifact kinds PR 9 adds: `classifier` (trained logistic-regression
+//! Corruption, truncation and salvage tests for the artifact kinds of
+//! the two extra scoring modes: `classifier` (trained logistic-regression
 //! weights) and `reffree` (reference-free baseline characterization).
 //! Both must uphold the store's contract — strict reads reject every
 //! bit flip and truncation, never panic, and the salvage reader
@@ -8,10 +8,12 @@
 use htd_core::campaign::CampaignPlan;
 use htd_core::channel::{Calibration, ChannelSpec};
 use htd_core::em_detect::TraceMetric;
-use htd_core::reffree::{ReferenceFreeCharacterization, ReferenceFreeFit, ReferenceFreeState};
+use htd_core::fusion::{Baseline, ChannelState, Characterization};
+use htd_core::reffree::ReferenceFreeFit;
 use htd_core::resilience::ChannelHealth;
+use htd_core::Mode;
 use htd_store::{
-    from_text, from_text_salvage, sniff_kind, to_text, ClassifierModel, ReferenceFreeArtifact,
+    from_text, from_text_at, from_text_salvage, sniff_kind, to_text, ClassifierModel,
     ScorableArtifact,
 };
 use htd_timing::GlitchParams;
@@ -30,22 +32,24 @@ fn sample_classifier() -> ClassifierModel {
     }
 }
 
-fn sample_reffree() -> ReferenceFreeArtifact {
+fn sample_reffree() -> ScorableArtifact {
     let plan = CampaignPlan::with_random_pairs(4, 2, 2, [0x42; 16], [0x0f; 16], 7);
     let states = vec![
-        ReferenceFreeState {
+        ChannelState {
             channel: "EM".to_string(),
             calibration: Calibration::None,
-            self_scores: vec![1.0, 2.5, -3.0, 0.125],
-            fit: ReferenceFreeFit {
-                mean: 0.15625,
-                std: 2.0078,
-                n_dies: 4,
+            baseline: Baseline::ReferenceFree {
+                self_scores: vec![1.0, 2.5, -3.0, 0.125],
+                fit: ReferenceFreeFit {
+                    mean: 0.15625,
+                    std: 2.0078,
+                    n_dies: 4,
+                },
             },
             kept: vec![0, 1, 2, 3],
             health: ChannelHealth::pristine("EM", 4),
         },
-        ReferenceFreeState {
+        ChannelState {
             channel: "delay".to_string(),
             calibration: Calibration::Glitch(GlitchParams {
                 start_period_ps: 5200.0,
@@ -54,11 +58,13 @@ fn sample_reffree() -> ReferenceFreeArtifact {
                 setup_ps: 180.0,
                 noise_ps: 12.5,
             }),
-            self_scores: vec![40.0, 39.0, 40.25],
-            fit: ReferenceFreeFit {
-                mean: 39.75,
-                std: 0.5401,
-                n_dies: 3,
+            baseline: Baseline::ReferenceFree {
+                self_scores: vec![40.0, 39.0, 40.25],
+                fit: ReferenceFreeFit {
+                    mean: 39.75,
+                    std: 0.5401,
+                    n_dies: 3,
+                },
             },
             kept: vec![0, 2, 3],
             health: {
@@ -68,12 +74,12 @@ fn sample_reffree() -> ReferenceFreeArtifact {
             },
         },
     ];
-    ReferenceFreeArtifact::new(
+    ScorableArtifact::new(
         vec![
             ChannelSpec::Em(TraceMetric::SumOfLocalMaxima),
             ChannelSpec::Delay,
         ],
-        ReferenceFreeCharacterization {
+        Characterization {
             plan,
             states,
             lost: vec![],
@@ -125,7 +131,7 @@ fn every_reffree_truncation_is_rejected() {
             continue;
         }
         assert!(
-            from_text::<ReferenceFreeArtifact>(&text[..cut]).is_err(),
+            from_text::<ScorableArtifact>(&text[..cut]).is_err(),
             "prefix of {cut} bytes parsed"
         );
     }
@@ -142,7 +148,7 @@ fn every_reffree_bit_flip_is_rejected() {
                 continue;
             };
             assert!(
-                from_text::<ReferenceFreeArtifact>(&corrupt).is_err(),
+                from_text::<ScorableArtifact>(&corrupt).is_err(),
                 "flip of bit {bit} at byte {pos} parsed"
             );
         }
@@ -171,8 +177,8 @@ fn a_stale_trailer_is_rejected_for_both_kinds() {
     assert!(s.recovered, "stale trailer must demote the read");
 
     let corrupt = stale_trailer(&to_text(&sample_reffree()));
-    assert!(from_text::<ReferenceFreeArtifact>(&corrupt).is_err());
-    let s = from_text_salvage::<ReferenceFreeArtifact>(&corrupt).unwrap();
+    assert!(from_text::<ScorableArtifact>(&corrupt).is_err());
+    let s = from_text_salvage::<ScorableArtifact>(&corrupt).unwrap();
     assert!(s.recovered);
 }
 
@@ -221,8 +227,8 @@ fn salvage_drops_a_corrupt_reffree_block_and_keeps_the_other() {
     // Garble the EM block's fit line; the delay block survives with its
     // degraded kept-set intact.
     let corrupt = text.replacen("reffree-fit ", "reffree-f#t ", 1);
-    assert!(from_text::<ReferenceFreeArtifact>(&corrupt).is_err());
-    let s = from_text_salvage::<ReferenceFreeArtifact>(&corrupt).unwrap();
+    assert!(from_text::<ScorableArtifact>(&corrupt).is_err());
+    let s = from_text_salvage::<ScorableArtifact>(&corrupt).unwrap();
     assert!(s.recovered);
     assert!(s.dropped_lines > 0);
     let charac = s.artifact.characterization();
@@ -238,7 +244,7 @@ fn reffree_truncation_keeps_the_complete_leading_blocks() {
     // Cut mid-way through the delay block: EM is complete, delay and
     // the trailer are gone.
     let cut = text.find("glitch").expect("delay calibration line");
-    let s = from_text_salvage::<ReferenceFreeArtifact>(&text[..cut]).unwrap();
+    let s = from_text_salvage::<ScorableArtifact>(&text[..cut]).unwrap();
     assert!(s.recovered, "no trailer means no pristine claim");
     let charac = s.artifact.characterization();
     assert_eq!(charac.states.len(), 1);
@@ -252,7 +258,7 @@ fn pristine_files_of_both_kinds_salvage_as_not_recovered() {
     assert_eq!(s.dropped_lines, 0);
     assert_eq!(s.artifact, sample_classifier());
 
-    let s = from_text_salvage::<ReferenceFreeArtifact>(&to_text(&sample_reffree())).unwrap();
+    let s = from_text_salvage::<ScorableArtifact>(&to_text(&sample_reffree())).unwrap();
     assert!(!s.recovered);
     assert_eq!(s.dropped_lines, 0);
     assert_eq!(s.artifact, sample_reffree());
@@ -274,16 +280,11 @@ fn sniff_kind_distinguishes_the_scoring_artifacts() {
 #[test]
 fn scorable_artifact_parses_reffree_by_kind() {
     let text = to_text(&sample_reffree());
-    let scorable = ScorableArtifact::from_text_at(&text, "test").unwrap();
-    match &scorable {
-        ScorableArtifact::ReferenceFree(a) => {
-            assert_eq!(a.characterization().plan.n_dies, 4);
-            assert_eq!(scorable.plan(), &a.characterization().plan);
-        }
-        ScorableArtifact::Golden(_) => panic!("reffree text parsed as golden"),
-    }
+    let scorable: ScorableArtifact = from_text_at(&text, "test").unwrap();
+    assert_eq!(scorable.characterization().plan.n_dies, 4);
+    assert_eq!(scorable.characterization().mode(), Mode::ReferenceFree);
     // A classifier is not scorable: it must be rejected, not misread.
-    assert!(ScorableArtifact::from_text_at(&to_text(&sample_classifier()), "test").is_err());
+    assert!(from_text_at::<ScorableArtifact>(&to_text(&sample_classifier()), "test").is_err());
 }
 
 // ---------------------------------------------------------------------------
@@ -368,9 +369,12 @@ proptest! {
 fn reffree_roundtrips_exactly() {
     let artifact = sample_reffree();
     let text = to_text(&artifact);
-    let back = from_text::<ReferenceFreeArtifact>(&text).expect(&text);
+    let back = from_text::<ScorableArtifact>(&text).expect(&text);
     assert_eq!(back, artifact);
     let s0 = &back.characterization().states[0];
-    assert_eq!(s0.fit.mean.to_bits(), 0.15625f64.to_bits());
-    assert_eq!(s0.fit.n_dies, 4);
+    let Baseline::ReferenceFree { fit, .. } = &s0.baseline else {
+        panic!("reference-free baseline");
+    };
+    assert_eq!(fit.mean.to_bits(), 0.15625f64.to_bits());
+    assert_eq!(fit.n_dies, 4);
 }

@@ -2,17 +2,13 @@
 //! scoring a suspect population against a golden-reference artifact that
 //! went through disk — characterize → save → load → score — produces
 //! bit-identical per-die scores and FN rates to the all-in-memory
-//! `multi_channel_experiment` on the same `CampaignPlan`, at worker
+//! characterize → score run on the same `CampaignPlan`, at worker
 //! counts 1 and N.
 
 use htd_core::channel::{Channel, ChannelSpec};
 use htd_core::em_detect::TraceMetric;
-use htd_core::fusion::{
-    characterize_campaign_with, multi_channel_experiment_with, score_campaign_with,
-    score_design_with,
-};
-use htd_core::{CampaignPlan, Engine, Lab};
-use htd_store::GoldenArtifact;
+use htd_core::{CampaignPlan, Engine, Lab, Mode, Run};
+use htd_store::ScorableArtifact;
 use htd_trojan::TrojanSpec;
 
 fn specs() -> Vec<ChannelSpec> {
@@ -32,14 +28,20 @@ fn scoring_a_loaded_artifact_is_bit_identical_to_the_in_memory_experiment() {
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
 
     // The all-in-memory reference run.
-    let in_memory =
-        multi_channel_experiment_with(&Engine::serial(), &lab, &plan, &trojans, &refs).unwrap();
+    let serial = Run::new(Engine::serial());
+    let charac = serial
+        .characterize(&lab, &plan, &refs, Mode::Golden)
+        .unwrap();
+    let in_memory = serial.score(&lab, &charac, &trojans, &refs).unwrap();
 
-    // Characterize once, round-trip the artifact through disk.
-    let charac = characterize_campaign_with(&Engine::serial(), &lab, &plan, &refs).unwrap();
+    // Round-trip the characterization through disk.
     let path = std::env::temp_dir().join(format!("htd-equivalence-{}.htd", std::process::id()));
-    htd_store::save(&path, &GoldenArtifact::new(channel_specs, charac).unwrap()).unwrap();
-    let loaded: GoldenArtifact = htd_store::load(&path).unwrap();
+    htd_store::save(
+        &path,
+        &ScorableArtifact::new(channel_specs, charac).unwrap(),
+    )
+    .unwrap();
+    let loaded: ScorableArtifact = htd_store::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
 
     // The loaded artifact rebuilds its own channels.
@@ -50,26 +52,16 @@ fn scoring_a_loaded_artifact_is_bit_identical_to_the_in_memory_experiment() {
     // Stored golden state is bit-identical (per-die golden scores included).
     for (state, name) in charac.states.iter().zip(["EM", "delay"]) {
         assert_eq!(state.channel, name);
-        assert_eq!(state.scores.len(), plan.n_dies);
+        assert_eq!(state.baseline.scores().len(), plan.n_dies);
     }
 
     for workers in [1usize, 4] {
-        let engine = Engine::with_workers(workers);
-        let scored = score_campaign_with(&engine, &lab, charac, &trojans, &rebuilt_refs).unwrap();
+        let run = Run::new(Engine::with_workers(workers));
+        let scored = run.score(&lab, charac, &trojans, &rebuilt_refs).unwrap();
         // Full-report equality covers every µ, σ, analytic FN rate and
-        // empirical FN/FP rate of every channel and the fused rows.
+        // empirical FN/FP rate of every channel and the fused rows; the
+        // designs carry the per-die suspect scores, not just fitted
+        // summaries.
         assert_eq!(scored, in_memory, "workers = {workers}");
-
-        // Per-die suspect scores, not just fitted summaries.
-        for (s, spec) in trojans.iter().enumerate() {
-            let (_, sets) =
-                score_design_with(&engine, &lab, charac, s, spec, &rebuilt_refs).unwrap();
-            let (_, reference_sets) =
-                score_design_with(&Engine::serial(), &lab, charac, s, spec, &rebuilt_refs).unwrap();
-            for (a, b) in sets.iter().zip(&reference_sets) {
-                assert_eq!(a.golden, b.golden, "workers = {workers}");
-                assert_eq!(a.infected, b.infected, "workers = {workers}");
-            }
-        }
     }
 }

@@ -17,16 +17,17 @@ use htd_core::campaign::CampaignPlan;
 use htd_core::channel::{Acquisition, Calibration, ChannelSpec, GoldenReference};
 use htd_core::delay_detect::DelayMatrix;
 use htd_core::em_detect::TraceMetric;
+use htd_core::fusion::Baseline;
 use htd_core::fusion::{
-    ChannelResult, ChannelState, GoldenCharacterization, MultiChannelReport, MultiChannelRow,
+    ChannelResult, ChannelState, Characterization, MultiChannelReport, MultiChannelRow,
     ScoredChannel,
 };
-use htd_core::reffree::{ReferenceFreeCharacterization, ReferenceFreeFit, ReferenceFreeState};
+use htd_core::reffree::ReferenceFreeFit;
 use htd_core::resilience::ChannelHealth;
 use htd_em::Trace;
 use htd_faults::FaultPlan;
 use htd_stats::Gaussian;
-use htd_store::{Artifact, ChannelFit, ClassifierModel, GoldenArtifact, ReferenceFreeArtifact};
+use htd_store::{Artifact, ChannelFit, ClassifierModel, ScorableArtifact};
 use htd_timing::GlitchParams;
 
 fn fixture_dir() -> PathBuf {
@@ -82,13 +83,13 @@ fn report() -> MultiChannelReport {
     }
 }
 
-fn golden() -> GoldenArtifact {
-    GoldenArtifact::new(
+fn golden() -> ScorableArtifact {
+    ScorableArtifact::new(
         vec![
             ChannelSpec::Em(TraceMetric::SumOfLocalMaxima),
             ChannelSpec::Delay,
         ],
-        GoldenCharacterization {
+        Characterization {
             plan: plan(),
             states: vec![
                 ChannelState::pristine(
@@ -123,28 +124,32 @@ fn classifier() -> ClassifierModel {
     }
 }
 
-fn reffree() -> ReferenceFreeArtifact {
+fn reffree() -> ScorableArtifact {
     let states = vec![
-        ReferenceFreeState {
+        ChannelState {
             channel: "EM".to_string(),
             calibration: Calibration::None,
-            self_scores: vec![1.0, 2.5, -3.0, 0.125],
-            fit: ReferenceFreeFit {
-                mean: 0.15625,
-                std: 2.0078,
-                n_dies: 4,
+            baseline: Baseline::ReferenceFree {
+                self_scores: vec![1.0, 2.5, -3.0, 0.125],
+                fit: ReferenceFreeFit {
+                    mean: 0.15625,
+                    std: 2.0078,
+                    n_dies: 4,
+                },
             },
             kept: vec![0, 1, 2, 3],
             health: ChannelHealth::pristine("EM", 4),
         },
-        ReferenceFreeState {
+        ChannelState {
             channel: "delay".to_string(),
             calibration: Calibration::Glitch(glitch()),
-            self_scores: vec![40.0, 39.0, 40.25],
-            fit: ReferenceFreeFit {
-                mean: 39.75,
-                std: 0.5401,
-                n_dies: 3,
+            baseline: Baseline::ReferenceFree {
+                self_scores: vec![40.0, 39.0, 40.25],
+                fit: ReferenceFreeFit {
+                    mean: 39.75,
+                    std: 0.5401,
+                    n_dies: 3,
+                },
             },
             kept: vec![0, 2, 3],
             health: {
@@ -154,12 +159,12 @@ fn reffree() -> ReferenceFreeArtifact {
             },
         },
     ];
-    ReferenceFreeArtifact::new(
+    ScorableArtifact::new(
         vec![
             ChannelSpec::Em(TraceMetric::SumOfLocalMaxima),
             ChannelSpec::Delay,
         ],
-        ReferenceFreeCharacterization {
+        Characterization {
             plan: plan(),
             states,
             lost: vec![],
@@ -179,7 +184,7 @@ fn faultplan() -> FaultPlan {
 }
 
 fn check<A: Artifact + PartialEq + std::fmt::Debug>(value: &A) {
-    let path = fixture_dir().join(format!("{}.htd", A::KIND));
+    let path = fixture_dir().join(format!("{}.htd", value.kind()));
     let stored = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "missing fixture {} ({e}); run the regenerate test",
@@ -190,7 +195,7 @@ fn check<A: Artifact + PartialEq + std::fmt::Debug>(value: &A) {
         htd_store::to_text(value),
         stored,
         "`{}` format drifted from {} — if intentional, bump FORMAT_VERSION and regenerate",
-        A::KIND,
+        value.kind(),
         path.display(),
     );
     let parsed: A = htd_store::from_text(&stored).expect("fixture must parse");
@@ -232,7 +237,7 @@ fn regenerate() {
     let dir = fixture_dir();
     std::fs::create_dir_all(&dir).unwrap();
     fn write<A: Artifact>(dir: &std::path::Path, value: &A) {
-        let path = dir.join(format!("{}.htd", A::KIND));
+        let path = dir.join(format!("{}.htd", value.kind()));
         std::fs::write(&path, htd_store::to_text(value)).unwrap();
         println!("wrote {}", path.display());
     }

@@ -8,14 +8,14 @@ use htd_core::channel::{Acquisition, Calibration, ChannelSpec, GoldenReference};
 use htd_core::delay_detect::DelayMatrix;
 use htd_core::em_detect::TraceMetric;
 use htd_core::fusion::{
-    ChannelResult, ChannelState, GoldenCharacterization, MultiChannelReport, MultiChannelRow,
+    Baseline, ChannelResult, ChannelState, Characterization, MultiChannelReport, MultiChannelRow,
     ScoredChannel,
 };
 use htd_core::resilience::ChannelHealth;
 use htd_em::Trace;
 use htd_faults::FaultPlan;
 use htd_stats::Gaussian;
-use htd_store::{from_text, to_text, ChannelFit, GoldenArtifact};
+use htd_store::{from_text, to_text, ChannelFit, ScorableArtifact};
 use htd_timing::GlitchParams;
 use proptest::prelude::*;
 
@@ -190,7 +190,7 @@ fn report_strategy() -> impl Strategy<Value = MultiChannelReport> {
         })
 }
 
-fn golden_strategy() -> impl Strategy<Value = GoldenArtifact> {
+fn golden_strategy() -> impl Strategy<Value = ScorableArtifact> {
     plan_strategy().prop_flat_map(|plan| {
         let n = plan.n_dies;
         (
@@ -236,8 +236,7 @@ fn golden_strategy() -> impl Strategy<Value = GoldenArtifact> {
                     states.push(ChannelState {
                         channel: spec.name().to_string(),
                         calibration,
-                        reference,
-                        scores,
+                        baseline: Baseline::Golden { reference, scores },
                         kept,
                         health,
                     });
@@ -246,7 +245,7 @@ fn golden_strategy() -> impl Strategy<Value = GoldenArtifact> {
                 for h in &mut lost {
                     h.lost = true;
                 }
-                GoldenArtifact::new(specs, GoldenCharacterization { plan, states, lost })
+                ScorableArtifact::new(specs, Characterization { plan, states, lost })
                     .expect("strategy builds consistent artifacts")
             })
     })
@@ -313,7 +312,7 @@ proptest! {
 
     #[test]
     fn golden_roundtrips(artifact in golden_strategy()) {
-        assert_roundtrip!(GoldenArtifact, artifact);
+        assert_roundtrip!(ScorableArtifact, artifact);
     }
 
     #[test]
@@ -327,7 +326,7 @@ proptest! {
         let text = to_text(&artifact);
         let cut = (cut % text.len() as u64) as usize;
         let cut = (0..=cut).rev().find(|&i| text.is_char_boundary(i)).unwrap();
-        prop_assert!(from_text::<GoldenArtifact>(&text[..cut]).is_err());
+        prop_assert!(from_text::<ScorableArtifact>(&text[..cut]).is_err());
     }
 
     /// Random single-bit flips of arbitrary reports always error (or stop
@@ -344,7 +343,7 @@ proptest! {
 }
 
 /// A fixed, multi-channel golden artifact exercising every block type.
-fn sample_golden() -> GoldenArtifact {
+fn sample_golden() -> ScorableArtifact {
     let plan = CampaignPlan::with_random_pairs(4, 2, 2, [0x42; 16], [0x0f; 16], 7);
     let states = vec![
         ChannelState::pristine(
@@ -368,12 +367,12 @@ fn sample_golden() -> GoldenArtifact {
             vec![40.0, 41.5, 39.0, 40.25],
         ),
     ];
-    GoldenArtifact::new(
+    ScorableArtifact::new(
         vec![
             ChannelSpec::Em(TraceMetric::SumOfLocalMaxima),
             ChannelSpec::Delay,
         ],
-        GoldenCharacterization {
+        Characterization {
             plan,
             states,
             lost: vec![],
@@ -391,7 +390,7 @@ fn every_truncation_is_rejected() {
             continue;
         }
         assert!(
-            from_text::<GoldenArtifact>(&text[..cut]).is_err(),
+            from_text::<ScorableArtifact>(&text[..cut]).is_err(),
             "prefix of {cut} bytes parsed"
         );
     }
@@ -410,7 +409,7 @@ fn every_bit_flip_is_rejected() {
                 continue;
             };
             assert!(
-                from_text::<GoldenArtifact>(&corrupt).is_err(),
+                from_text::<ScorableArtifact>(&corrupt).is_err(),
                 "flip of bit {bit} at byte {pos} parsed"
             );
         }

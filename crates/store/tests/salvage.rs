@@ -8,13 +8,13 @@ use htd_core::campaign::CampaignPlan;
 use htd_core::channel::{Calibration, ChannelSpec, GoldenReference};
 use htd_core::delay_detect::DelayMatrix;
 use htd_core::em_detect::TraceMetric;
-use htd_core::fusion::{ChannelState, GoldenCharacterization};
+use htd_core::fusion::{ChannelState, Characterization};
 use htd_em::Trace;
 use htd_faults::{FaultPlan, FaultSite};
-use htd_store::{from_text, from_text_salvage, to_text, GoldenArtifact};
+use htd_store::{from_text, from_text_salvage, to_text, ScorableArtifact};
 use htd_timing::GlitchParams;
 
-fn sample_golden() -> GoldenArtifact {
+fn sample_golden() -> ScorableArtifact {
     let plan = CampaignPlan::with_random_pairs(4, 2, 2, [0x42; 16], [0x0f; 16], 7);
     let states = vec![
         ChannelState::pristine(
@@ -38,12 +38,12 @@ fn sample_golden() -> GoldenArtifact {
             vec![40.0, 41.5, 39.0, 40.25],
         ),
     ];
-    GoldenArtifact::new(
+    ScorableArtifact::new(
         vec![
             ChannelSpec::Em(TraceMetric::SumOfLocalMaxima),
             ChannelSpec::Delay,
         ],
-        GoldenCharacterization {
+        Characterization {
             plan,
             states,
             lost: vec![],
@@ -56,7 +56,7 @@ fn sample_golden() -> GoldenArtifact {
 fn pristine_files_salvage_as_not_recovered() {
     let artifact = sample_golden();
     let text = to_text(&artifact);
-    let s = from_text_salvage::<GoldenArtifact>(&text).unwrap();
+    let s = from_text_salvage::<ScorableArtifact>(&text).unwrap();
     assert!(!s.recovered, "untouched file must read as pristine");
     assert_eq!(s.dropped_lines, 0);
     assert_eq!(s.artifact, artifact);
@@ -69,11 +69,14 @@ fn a_parseable_bit_flip_cannot_masquerade_as_pristine() {
     // (re-verified over the kept lines) is stale.
     assert!(text.contains("s 1 2.5 -3 0.125"), "{text}");
     let flipped = text.replace("s 1 2.5 -3 0.125", "s 1 2.5 -3 0.135");
-    assert!(from_text::<GoldenArtifact>(&flipped).is_err());
-    let s = from_text_salvage::<GoldenArtifact>(&flipped).unwrap();
+    assert!(from_text::<ScorableArtifact>(&flipped).is_err());
+    let s = from_text_salvage::<ScorableArtifact>(&flipped).unwrap();
     assert!(s.recovered, "stale checksum must demote the read");
     assert_eq!(s.dropped_lines, 0);
-    assert_eq!(s.artifact.characterization().states[0].scores[3], 0.135);
+    assert_eq!(
+        s.artifact.characterization().states[0].baseline.scores()[3],
+        0.135
+    );
 }
 
 #[test]
@@ -81,8 +84,8 @@ fn a_corrupt_block_is_dropped_and_the_other_channel_survives() {
     let text = to_text(&sample_golden());
     // Garble the EM channel's reference payload line.
     let corrupt = text.replace("trace 125", "trace #!garbage");
-    assert!(from_text::<GoldenArtifact>(&corrupt).is_err());
-    let s = from_text_salvage::<GoldenArtifact>(&corrupt).unwrap();
+    assert!(from_text::<ScorableArtifact>(&corrupt).is_err());
+    let s = from_text_salvage::<ScorableArtifact>(&corrupt).unwrap();
     assert!(s.recovered);
     assert!(s.dropped_lines > 0);
     let charac = s.artifact.characterization();
@@ -97,7 +100,7 @@ fn truncation_keeps_the_complete_leading_blocks() {
     // Cut mid-way through the delay block: the EM block is complete, the
     // delay block (and the trailer) are gone.
     let cut = text.find("matrix 2 2").expect("delay reference line");
-    let s = from_text_salvage::<GoldenArtifact>(&text[..cut]).unwrap();
+    let s = from_text_salvage::<ScorableArtifact>(&text[..cut]).unwrap();
     assert!(s.recovered, "no trailer means no pristine claim");
     let charac = s.artifact.characterization();
     assert_eq!(charac.states.len(), 1);
@@ -109,13 +112,13 @@ fn damaged_headers_and_hopeless_bodies_still_error() {
     let text = to_text(&sample_golden());
     // Header damage is unrecoverable (kind/version unknown).
     let bad_header = text.replacen("htdstore", "htdst0re", 1);
-    assert!(from_text_salvage::<GoldenArtifact>(&bad_header).is_err());
+    assert!(from_text_salvage::<ScorableArtifact>(&bad_header).is_err());
     // A body where no channel block survives is an error, not an empty
     // artifact.
     let no_blocks = text
         .replace("channel em", "chan#el em")
         .replace("channel delay", "chan#el delay");
-    assert!(from_text_salvage::<GoldenArtifact>(&no_blocks).is_err());
+    assert!(from_text_salvage::<ScorableArtifact>(&no_blocks).is_err());
     // Kinds without a salvage override stay fully strict.
     let plan = CampaignPlan::with_random_pairs(4, 2, 2, [0x42; 16], [0x0f; 16], 7);
     let plan_text = to_text(&plan);
@@ -168,7 +171,7 @@ fn faultplan_store_site_picks_the_lines_to_corrupt() {
             continue;
         }
         let damaged = corrupt.join("\n") + "\n";
-        if let Ok(s) = from_text_salvage::<GoldenArtifact>(&damaged) {
+        if let Ok(s) = from_text_salvage::<ScorableArtifact>(&damaged) {
             salvaged = Some((n_corrupt, s));
             break;
         }

@@ -19,7 +19,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("characterising golden model: 25 (P,K) pairs x 10 glitch sweeps...");
     let campaign = DelayCampaign::random(25, 10, 0xA0D1_7017);
-    let detector = DelayDetector::new(characterize_golden(&golden_dev, campaign)?);
+    let detector = DelayDetector::new(characterize_golden(
+        &Engine::default(),
+        &golden_dev,
+        campaign,
+    )?);
     println!(
         "sweep: start {} / step {} ps / {} steps\n",
         ps(detector.golden().params.start_period_ps),
@@ -45,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut table = Table::new(&["unit", "max |ΔD|", "flagged bits", "verdict"]);
     for (i, (name, design)) in shipment.iter().enumerate() {
         let dut = ProgrammedDevice::new(&lab, design, &die);
-        let evidence = detector.examine(&dut, 1000 + i as u64)?;
+        let evidence = detector.examine(&Engine::default(), &dut, 1000 + i as u64)?;
         table.push_row(&[
             name.to_string(),
             ps(evidence.max_diff_ps),

@@ -7,7 +7,7 @@
 //! cargo run --release --example fab_audit
 //! ```
 
-use htd_core::em_detect::{characterize_em_golden, EmDetector, SideChannel};
+use htd_core::em_detect::{characterize_em_golden, EmDetector, SideChannel, TraceMetric};
 use htd_core::prelude::*;
 use htd_core::report::Table;
 use htd_core::ProgrammedDevice;
@@ -23,10 +23,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("characterising golden EM population over 8 reference dies...");
     let reference_dies = lab.fabricate_batch(8);
     let model = characterize_em_golden(
+        &Engine::default(),
         &lab,
         &golden,
         &reference_dies,
         SideChannel::Em,
+        TraceMetric::SumOfLocalMaxima,
         &pt,
         &key,
         1,

@@ -50,8 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Delay analysis (Section III): characterise the golden model with
     //    clock-glitch sweeps, then compare the suspect.
     let campaign = DelayCampaign::random(10, 10, 0x5EED);
-    let detector = DelayDetector::new(characterize_golden(&golden_dev, campaign)?);
-    let evidence = detector.examine(&suspect_dev, 1)?;
+    let detector = DelayDetector::new(characterize_golden(
+        &Engine::default(),
+        &golden_dev,
+        campaign,
+    )?);
+    let evidence = detector.examine(&Engine::default(), &suspect_dev, 1)?;
     println!(
         "delay analysis: {} bits shifted by more than {} ps (max {:.0} ps) → {}",
         evidence.flagged_bits,

@@ -2,9 +2,24 @@
 //! experiments replay bit-for-bit.
 
 use htd_core::delay_detect::{characterize_golden, DelayCampaign, DelayDetector};
-use htd_core::em_detect::{fn_rate_experiment, SideChannel};
 use htd_core::prelude::*;
 use htd_core::ProgrammedDevice;
+
+/// The Section V experiment on the EM channel: characterize a golden lot
+/// of `plan.n_dies` dies, then score `specs`; one result per trojan.
+fn em_experiment(engine: Engine, plan: &CampaignPlan, specs: &[TrojanSpec]) -> Vec<ChannelResult> {
+    let (lab, run) = (Lab::paper(), Run::new(engine));
+    let channels: [&dyn Channel; 1] = [&EmChannel::paper()];
+    let charac = run
+        .characterize(&lab, plan, &channels, Mode::Golden)
+        .unwrap();
+    let report = run.score(&lab, &charac, specs, &channels).unwrap().report;
+    report
+        .rows
+        .into_iter()
+        .map(|r| r.channels[0].clone())
+        .collect()
+}
 
 #[test]
 fn delay_evidence_replays_exactly() {
@@ -16,31 +31,17 @@ fn delay_evidence_replays_exactly() {
     let dut = ProgrammedDevice::new(&lab, &infected, &die);
     let run = || {
         let campaign = DelayCampaign::random(4, 5, 0xDEAD);
-        let det = DelayDetector::new(characterize_golden(&gdev, campaign).unwrap());
-        det.examine(&dut, 11).unwrap().diff_ps
+        let det =
+            DelayDetector::new(characterize_golden(&Engine::default(), &gdev, campaign).unwrap());
+        det.examine(&Engine::default(), &dut, 11).unwrap().diff_ps
     };
     assert_eq!(run(), run());
 }
 
 #[test]
 fn fn_rate_experiment_replays_exactly() {
-    let lab = Lab::paper();
-    let pt = [1u8; 16];
-    let key = [2u8; 16];
-    let run = || {
-        fn_rate_experiment(
-            &lab,
-            &[TrojanSpec::ht2()],
-            SideChannel::Em,
-            4,
-            &pt,
-            &key,
-            77,
-        )
-        .unwrap()
-        .rows[0]
-            .mu
-    };
+    let plan = CampaignPlan::traces(4, [1u8; 16], [2u8; 16], 77);
+    let run = || em_experiment(Engine::default(), &plan, &[TrojanSpec::ht2()])[0].mu;
     assert_eq!(run(), run());
 }
 

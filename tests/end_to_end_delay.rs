@@ -9,7 +9,7 @@ use htd_core::ProgrammedDevice;
 fn detector(lab: &Lab, golden_dev: &ProgrammedDevice<'_>, pairs: usize) -> DelayDetector {
     let _ = lab;
     let campaign = DelayCampaign::random(pairs, 10, 0xC0FFEE);
-    DelayDetector::new(characterize_golden(golden_dev, campaign).unwrap())
+    DelayDetector::new(characterize_golden(&Engine::default(), golden_dev, campaign).unwrap())
 }
 
 #[test]
@@ -21,7 +21,7 @@ fn clean_remeasurement_is_not_flagged() {
     let det = detector(&lab, &dev, 10);
     // Same die, same design, fresh measurement noise (the paper's
     // Clean1/Clean2 curves in Fig. 3).
-    let evidence = det.examine(&dev, 1).unwrap();
+    let evidence = det.examine(&Engine::default(), &dev, 1).unwrap();
     assert!(
         !evidence.infected,
         "clean device flagged: {} bits over {} ps (max {})",
@@ -39,7 +39,7 @@ fn combinational_trojan_is_detected() {
     let golden_dev = ProgrammedDevice::new(&lab, &golden, &die);
     let det = detector(&lab, &golden_dev, 10);
     let dut = ProgrammedDevice::new(&lab, &infected, &die);
-    let evidence = det.examine(&dut, 2).unwrap();
+    let evidence = det.examine(&Engine::default(), &dut, 2).unwrap();
     assert!(evidence.infected);
     assert!(
         evidence.flagged_bits >= 4,
@@ -63,7 +63,7 @@ fn sequential_trojan_is_detected_without_activation() {
     let golden_dev = ProgrammedDevice::new(&lab, &golden, &die);
     let det = detector(&lab, &golden_dev, 10);
     let dut = ProgrammedDevice::new(&lab, &infected, &die);
-    let evidence = det.examine(&dut, 3).unwrap();
+    let evidence = det.examine(&Engine::default(), &dut, 3).unwrap();
     assert!(
         evidence.infected,
         "HT-seq missed (max {})",
@@ -82,14 +82,14 @@ fn more_pairs_accumulate_more_evidence() {
     let golden_dev = ProgrammedDevice::new(&lab, &golden, &die);
     let det = detector(&lab, &golden_dev, 12);
     let dut = ProgrammedDevice::new(&lab, &infected, &die);
-    let few = det.examine_pairs(&dut, 4, 2).unwrap();
-    let many = det.examine_pairs(&dut, 4, 12).unwrap();
+    let few = det.examine_pairs(&Engine::default(), &dut, 4, 2).unwrap();
+    let many = det.examine_pairs(&Engine::default(), &dut, 4, 12).unwrap();
     assert!(many.flagged_bits >= few.flagged_bits);
     assert!(many.infected);
     // Asking for more pairs than the golden campaign characterised is an
     // error, not a silent truncation.
     assert!(matches!(
-        det.examine_pairs(&dut, 4, 13),
+        det.examine_pairs(&Engine::default(), &dut, 4, 13),
         Err(Error::PairCountExceedsCampaign {
             requested: 13,
             available: 12,

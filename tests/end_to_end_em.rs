@@ -2,7 +2,9 @@
 //! comparison, inter-die golden modelling, and classification with the
 //! sum-of-local-maxima metric.
 
-use htd_core::em_detect::{characterize_em_golden, direct_compare, EmDetector, SideChannel};
+use htd_core::em_detect::{
+    characterize_em_golden, direct_compare, EmDetector, SideChannel, TraceMetric,
+};
 use htd_core::prelude::*;
 use htd_core::ProgrammedDevice;
 
@@ -44,8 +46,18 @@ fn interdie_detector_classifies_large_trojan_reliably() {
     let golden = Design::golden(&lab).unwrap();
     let infected = Design::infected(&lab, &TrojanSpec::ht3()).unwrap();
     let dies = lab.fabricate_batch(8); // the paper's batch size
-    let model =
-        characterize_em_golden(&lab, &golden, &dies, SideChannel::Em, &PT, &KEY, 500).unwrap();
+    let model = characterize_em_golden(
+        &Engine::default(),
+        &lab,
+        &golden,
+        &dies,
+        SideChannel::Em,
+        TraceMetric::SumOfLocalMaxima,
+        &PT,
+        &KEY,
+        500,
+    )
+    .unwrap();
     let det = EmDetector::with_false_positive_rate(model, 0.05).unwrap();
     // Fresh dies the model never saw.
     let mut detected = 0;
@@ -76,8 +88,18 @@ fn metric_grows_with_trojan_size() {
     let lab = Lab::paper();
     let golden = Design::golden(&lab).unwrap();
     let dies = lab.fabricate_batch(6);
-    let model =
-        characterize_em_golden(&lab, &golden, &dies, SideChannel::Em, &PT, &KEY, 900).unwrap();
+    let model = characterize_em_golden(
+        &Engine::default(),
+        &lab,
+        &golden,
+        &dies,
+        SideChannel::Em,
+        TraceMetric::SumOfLocalMaxima,
+        &PT,
+        &KEY,
+        900,
+    )
+    .unwrap();
     let det = EmDetector::with_false_positive_rate(model, 0.05).unwrap();
     let probe_die = lab.fabricate_die(77);
     let mut metrics = Vec::new();

@@ -3,14 +3,27 @@
 //! (including 1), and the per-device simulation caches must be invisible
 //! to the measured values.
 
-use htd_core::delay_detect::{
-    characterize_golden_with, measure_matrix_with, DelayCampaign, DelayDetector,
-};
-use htd_core::em_detect::{fn_rate_experiment_with_metric, SideChannel, TraceMetric};
+use htd_core::delay_detect::{characterize_golden, measure_matrix, DelayCampaign, DelayDetector};
 use htd_core::prelude::*;
 
 const PT: [u8; 16] = [0x42u8; 16];
 const KEY: [u8; 16] = [0x0Fu8; 16];
+
+/// The Section V experiment on the EM channel: characterize a golden lot
+/// of `plan.n_dies` dies, then score `specs`; one result per trojan.
+fn em_experiment(engine: Engine, plan: &CampaignPlan, specs: &[TrojanSpec]) -> Vec<ChannelResult> {
+    let (lab, run) = (Lab::paper(), Run::new(engine));
+    let channels: [&dyn Channel; 1] = [&EmChannel::paper()];
+    let charac = run
+        .characterize(&lab, plan, &channels, Mode::Golden)
+        .unwrap();
+    let report = run.score(&lab, &charac, specs, &channels).unwrap().report;
+    report
+        .rows
+        .into_iter()
+        .map(|r| r.channels[0].clone())
+        .collect()
+}
 
 #[test]
 fn delay_evidence_is_bit_identical_across_worker_counts() {
@@ -24,9 +37,9 @@ fn delay_evidence_is_bit_identical_across_worker_counts() {
         let gdev = ProgrammedDevice::new(&lab, &golden, &die);
         let dut = ProgrammedDevice::new(&lab, &infected, &die);
         let det = DelayDetector::new(
-            characterize_golden_with(&Engine::serial(), &gdev, campaign.clone()).unwrap(),
+            characterize_golden(&Engine::serial(), &gdev, campaign.clone()).unwrap(),
         );
-        det.examine_with(&Engine::serial(), &dut, 7).unwrap()
+        det.examine(&Engine::serial(), &dut, 7).unwrap()
     };
 
     // Worker counts beyond the pair count and the machine's core count
@@ -36,8 +49,8 @@ fn delay_evidence_is_bit_identical_across_worker_counts() {
         let gdev = ProgrammedDevice::new(&lab, &golden, &die);
         let dut = ProgrammedDevice::new(&lab, &infected, &die);
         let det =
-            DelayDetector::new(characterize_golden_with(&engine, &gdev, campaign.clone()).unwrap());
-        let evidence = det.examine_with(&engine, &dut, 7).unwrap();
+            DelayDetector::new(characterize_golden(&engine, &gdev, campaign.clone()).unwrap());
+        let evidence = det.examine(&engine, &dut, 7).unwrap();
         assert_eq!(
             evidence.diff_ps, reference.diff_ps,
             "diff_ps diverged at {workers} workers"
@@ -50,27 +63,13 @@ fn delay_evidence_is_bit_identical_across_worker_counts() {
 
 #[test]
 fn fn_rate_experiment_is_bit_identical_across_worker_counts() {
-    let lab = Lab::paper();
+    let plan = CampaignPlan::traces(4, PT, KEY, 99);
     let specs = [TrojanSpec::ht2()];
-    let run = |engine: &Engine| {
-        fn_rate_experiment_with_metric(
-            engine,
-            &lab,
-            &specs,
-            SideChannel::Em,
-            TraceMetric::SumOfLocalMaxima,
-            4,
-            &PT,
-            &KEY,
-            99,
-        )
-        .unwrap()
-    };
-    let reference = run(&Engine::serial());
+    let reference = em_experiment(Engine::serial(), &plan, &specs);
     for workers in [2usize, 5] {
-        let report = run(&Engine::with_workers(workers));
-        assert_eq!(report.n_dies, reference.n_dies);
-        for (got, want) in report.rows.iter().zip(&reference.rows) {
+        let rows = em_experiment(Engine::with_workers(workers), &plan, &specs);
+        assert_eq!(rows.len(), reference.len());
+        for (got, want) in rows.iter().zip(&reference) {
             assert_eq!(got.mu, want.mu, "mu diverged at {workers} workers");
             assert_eq!(got.sigma, want.sigma);
             assert_eq!(got.analytic_fn_rate, want.analytic_fn_rate);
@@ -90,12 +89,11 @@ fn settle_cache_reproduces_cold_simulation_exactly() {
 
     // Cold device: the first measurement simulates every settle.
     let cold_dev = ProgrammedDevice::new(&lab, &golden, &die);
-    let cold = measure_matrix_with(&Engine::serial(), &cold_dev, &campaign, &params, 5).unwrap();
+    let cold = measure_matrix(&Engine::serial(), &cold_dev, &campaign, &params, 5).unwrap();
     assert_eq!(cold_dev.cache_stats().settle_hits, 0);
 
     // Same device again: all settles served from cache, same matrix.
-    let warm =
-        measure_matrix_with(&Engine::with_workers(4), &cold_dev, &campaign, &params, 5).unwrap();
+    let warm = measure_matrix(&Engine::with_workers(4), &cold_dev, &campaign, &params, 5).unwrap();
     assert_eq!(warm, cold);
     let stats = cold_dev.cache_stats();
     assert_eq!(stats.settle_entries, campaign.pairs.len());
@@ -104,7 +102,7 @@ fn settle_cache_reproduces_cold_simulation_exactly() {
     // A fresh device (cold cache) still produces the identical matrix.
     let fresh_dev = ProgrammedDevice::new(&lab, &golden, &die);
     let fresh =
-        measure_matrix_with(&Engine::with_workers(3), &fresh_dev, &campaign, &params, 5).unwrap();
+        measure_matrix(&Engine::with_workers(3), &fresh_dev, &campaign, &params, 5).unwrap();
     assert_eq!(fresh, cold);
 }
 
@@ -125,7 +123,7 @@ fn never_faulted_bits_are_distinct_from_last_step_onsets() {
         setup_ps: 180.0,
         noise_ps: 0.0,
     };
-    let matrix = measure_matrix_with(&Engine::serial(), &dev, &campaign, &wide, 0).unwrap();
+    let matrix = measure_matrix(&Engine::serial(), &dev, &campaign, &wide, 0).unwrap();
     let sentinel = wide.never_onset_steps();
     assert_eq!(sentinel, 51.0);
     for row in &matrix.mean_onset_steps {

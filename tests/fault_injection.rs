@@ -9,12 +9,9 @@ use std::path::PathBuf;
 use htd_core::campaign::CampaignPlan;
 use htd_core::channel::{Channel, ChannelSpec};
 use htd_core::em_detect::TraceMetric;
-use htd_core::fusion::{
-    characterize_campaign_faulted, characterize_campaign_with, score_campaign_faulted,
-    GoldenCharacterization, MultiChannelReport,
-};
+use htd_core::fusion::{Characterization, MultiChannelReport};
 use htd_core::resilience::RetryPolicy;
-use htd_core::{Engine, Error, Lab};
+use htd_core::{Engine, Error, Lab, Mode, Run};
 use htd_faults::{FaultPlan, FaultSite};
 use htd_trojan::TrojanSpec;
 
@@ -52,24 +49,16 @@ fn faulted_campaign(
     workers: usize,
     faults: &FaultPlan,
     policy: &RetryPolicy,
-) -> Result<(GoldenCharacterization, MultiChannelReport), Error> {
-    let engine = Engine::with_workers(workers);
+) -> Result<(Characterization, MultiChannelReport), Error> {
+    let run = Run::new(Engine::with_workers(workers)).with_faults(faults.clone(), *policy);
     let lab = Lab::paper();
     let channels: Vec<Box<dyn Channel>> = specs().iter().map(ChannelSpec::build).collect();
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-    let charac = characterize_campaign_faulted(&engine, &lab, &plan(), &refs, faults, policy)?;
+    let charac = run.characterize(&lab, &plan(), &refs, Mode::Golden)?;
     // A lost channel would leave `refs` out of lockstep with the states;
     // none of these tests expect that here.
     assert_eq!(charac.states.len(), refs.len(), "no channel lost");
-    let campaign = score_campaign_faulted(
-        &engine,
-        &lab,
-        &charac,
-        &[TrojanSpec::ht2()],
-        &refs,
-        faults,
-        policy,
-    )?;
+    let campaign = run.score(&lab, &charac, &[TrojanSpec::ht2()], &refs)?;
     Ok((charac, campaign.report))
 }
 
@@ -115,18 +104,14 @@ fn smoke_flow_report() -> MultiChannelReport {
     let lab = Lab::paper();
     let channels: Vec<Box<dyn Channel>> = specs().iter().map(ChannelSpec::build).collect();
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-    let charac = characterize_campaign_with(&engine, &lab, &plan(), &refs).expect("characterize");
-    score_campaign_faulted(
-        &engine,
-        &lab,
-        &charac,
-        &[TrojanSpec::ht2()],
-        &refs,
-        &faultplan(),
-        &RetryPolicy::degraded(2),
-    )
-    .expect("degraded scoring completes")
-    .report
+    let charac = Run::new(engine.clone())
+        .characterize(&lab, &plan(), &refs, Mode::Golden)
+        .expect("characterize");
+    Run::new(engine)
+        .with_faults(faultplan(), RetryPolicy::degraded(2))
+        .score(&lab, &charac, &[TrojanSpec::ht2()], &refs)
+        .expect("degraded scoring completes")
+        .report
 }
 
 #[test]
@@ -248,15 +233,10 @@ fn an_exhausted_calibration_loses_the_channel_but_not_the_campaign() {
     let lab = Lab::paper();
     let channels: Vec<Box<dyn Channel>> = specs().iter().map(ChannelSpec::build).collect();
     let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-    let charac = characterize_campaign_faulted(
-        &engine,
-        &lab,
-        &plan(),
-        &refs,
-        &faults,
-        &RetryPolicy::degraded(max_retries),
-    )
-    .expect("the delay channel carries the campaign");
+    let charac = Run::new(engine.clone())
+        .with_faults(faults.clone(), RetryPolicy::degraded(max_retries))
+        .characterize(&lab, &plan(), &refs, Mode::Golden)
+        .expect("the delay channel carries the campaign");
     let names: Vec<&str> = charac.states.iter().map(|s| s.channel.as_str()).collect();
     assert_eq!(names, ["delay"]);
     assert_eq!(charac.lost.len(), 1);
@@ -266,24 +246,20 @@ fn an_exhausted_calibration_loses_the_channel_but_not_the_campaign() {
 
     // The degraded characterization still stores and round-trips.
     let artifact =
-        htd_store::GoldenArtifact::new(vec![ChannelSpec::Delay], charac).expect("storable");
+        htd_store::ScorableArtifact::new(vec![ChannelSpec::Delay], charac).expect("storable");
     let text = htd_store::to_text(&artifact);
-    let back: htd_store::GoldenArtifact = htd_store::from_text(&text).expect("round-trips");
+    let back: htd_store::ScorableArtifact = htd_store::from_text(&text).expect("round-trips");
     assert_eq!(back, artifact);
 
     // Under the strict policy the same plan is a hard error.
-    let err = characterize_campaign_faulted(
-        &engine,
-        &lab,
-        &plan(),
-        &refs,
-        &faults,
-        &RetryPolicy {
-            max_retries,
-            allow_degraded: false,
-        },
-    )
-    .unwrap_err();
+    let strict = RetryPolicy {
+        max_retries,
+        allow_degraded: false,
+    };
+    let err = Run::new(engine)
+        .with_faults(faults, strict)
+        .characterize(&lab, &plan(), &refs, Mode::Golden)
+        .unwrap_err();
     assert!(
         matches!(err, Error::CalibrationDiverged { .. }),
         "unexpected error: {err}"

@@ -11,9 +11,8 @@ use std::process::Command;
 use htd_core::campaign::CampaignPlan;
 use htd_core::channel::{Channel, ChannelSpec};
 use htd_core::em_detect::TraceMetric;
-use htd_core::fusion::{characterize_campaign_faulted, score_campaign_faulted};
 use htd_core::resilience::RetryPolicy;
-use htd_core::{Engine, Lab};
+use htd_core::{Engine, Lab, Mode, Run};
 use htd_faults::FaultPlan;
 use htd_obs::{Json, Obs, RunManifest, MANIFEST_VERSION};
 use htd_trojan::TrojanSpec;
@@ -105,18 +104,13 @@ fn library_counters_are_worker_invariant() {
         let lab = Lab::paper();
         let channels: Vec<Box<dyn Channel>> = specs.iter().map(ChannelSpec::build).collect();
         let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-        let charac = characterize_campaign_faulted(engine, &lab, &plan, &refs, &faults, &policy)
+        let run = Run::new(engine.clone()).with_faults(faults.clone(), policy);
+        let charac = run
+            .characterize(&lab, &plan, &refs, Mode::Golden)
             .expect("characterize completes");
-        let scored = score_campaign_faulted(
-            engine,
-            &lab,
-            &charac,
-            &[TrojanSpec::ht2()],
-            &refs,
-            &faults,
-            &policy,
-        )
-        .expect("score completes");
+        let scored = run
+            .score(&lab, &charac, &[TrojanSpec::ht2()], &refs)
+            .expect("score completes");
         htd_store::to_text(&scored.report)
     };
 
@@ -179,8 +173,7 @@ fn library_counters_are_worker_invariant() {
 /// mode's own `score.reffree.*` counters.
 #[test]
 fn reffree_counters_are_worker_invariant() {
-    use htd_core::reffree::{characterize_reffree_faulted, score_reffree_campaign};
-    use htd_store::ReferenceFreeArtifact;
+    use htd_store::ScorableArtifact;
 
     let plan = CampaignPlan::with_random_pairs(4, 2, 2, [0x42; 16], [0x0f; 16], 42);
     let specs = [
@@ -199,7 +192,9 @@ fn reffree_counters_are_worker_invariant() {
         let lab = Lab::paper();
         let channels: Vec<Box<dyn Channel>> = specs.iter().map(ChannelSpec::build).collect();
         let refs: Vec<&dyn Channel> = channels.iter().map(Box::as_ref).collect();
-        let charac = characterize_reffree_faulted(engine, &lab, &plan, &refs, &faults, &policy)
+        let run = Run::new(engine.clone()).with_faults(faults.clone(), policy);
+        let charac = run
+            .characterize(&lab, &plan, &refs, Mode::ReferenceFree)
             .expect("reference-free characterize completes");
         // Lockstep filter, exactly as the CLI stores it: one spec per
         // surviving state, in execution order.
@@ -208,19 +203,16 @@ fn reffree_counters_are_worker_invariant() {
             .filter(|s| charac.states.iter().any(|st| st.channel == s.name()))
             .cloned()
             .collect();
-        let artifact = ReferenceFreeArtifact::new(surviving, charac)
+        let artifact = ScorableArtifact::new(surviving, charac)
             .expect("surviving states form a consistent artifact");
-        let scored = score_reffree_campaign(
-            engine,
-            &lab,
-            artifact.characterization(),
-            &[TrojanSpec::ht2()],
-            &refs,
-            &faults,
-            &policy,
-            None,
-        )
-        .expect("reference-free score completes");
+        let scored = run
+            .score(
+                &lab,
+                artifact.characterization(),
+                &[TrojanSpec::ht2()],
+                &refs,
+            )
+            .expect("reference-free score completes");
         (
             htd_store::to_text(&artifact),
             htd_store::to_text(&scored.report),
@@ -250,7 +242,10 @@ fn reffree_counters_are_worker_invariant() {
     };
     assert_eq!(get("span.characterize"), 1);
     assert_eq!(get("span.score"), 1);
-    assert!(get("score.reffree.selfscores") > 0, "LOO scores registered");
+    assert!(
+        get("score.reffree.selfscores") > 0,
+        "within-die self-scores registered"
+    );
     assert_eq!(get("score.reffree.designs"), 1);
     assert_eq!(get("score.designs"), 1);
 }
