@@ -14,8 +14,9 @@
 //!    decision threshold are evidence of an HT; more pairs sample more
 //!    bits and accumulate more evidence (Section III-B).
 //!
-//! Every measurement entry point takes an [`Engine`] that fans the campaign (settle simulation per pair, then one
-//! task per pair × repetition cell) across the engine's worker pool.
+//! Every measurement entry point takes an [`Engine`] that fans the
+//! campaign (settle simulation per pair, then one task per
+//! pair × repetition cell) across the engine's worker pool.
 //! Noise streams are derived from cell indices, never from scheduling
 //! order, so the results are bit-identical for every worker count.
 

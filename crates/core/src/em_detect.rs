@@ -140,10 +140,11 @@ pub struct EmGoldenModel {
 /// Characterises the golden population over a batch of dies: one averaged
 /// acquisition per die with a fixed (but arbitrary) plaintext, as in
 /// Section V-A, reduced by `metric` (the paper's is
-/// [`TraceMetric::SumOfLocalMaxima`]). Runs the [`Channel`](crate::channel::Channel) stages of
-/// the chain's trace channel: acquisitions fan across the engine's
-/// workers with index-derived seeds, so the model is bit-identical for
-/// every worker count.
+/// [`TraceMetric::SumOfLocalMaxima`]). Runs the
+/// [`Channel`](crate::channel::Channel) stages of the chain's trace
+/// channel: acquisitions fan across the engine's workers with
+/// index-derived seeds, so the model is bit-identical for every worker
+/// count.
 ///
 /// # Errors
 ///

@@ -441,20 +441,15 @@ impl ScorableArtifact {
     }
 }
 
-/// The store kind of a characterization mode.
-fn mode_kind(mode: Mode) -> &'static str {
-    match mode {
-        Mode::Golden => "golden",
-        Mode::ReferenceFree => "reffree",
-    }
-}
-
 impl Artifact for ScorableArtifact {
     const KIND: &'static str = "golden";
     const KINDS: &'static [&'static str] = &["golden", "reffree"];
 
     fn kind(&self) -> &'static str {
-        mode_kind(self.charac.mode())
+        match self.charac.mode() {
+            Mode::Golden => "golden",
+            Mode::ReferenceFree => "reffree",
+        }
     }
 
     fn write_body(&self, w: &mut BodyWriter) {
